@@ -48,6 +48,7 @@ from .scheduler import (
     partition_from_phases,
     quantize_phase,
     solve_4coloring,
+    solve_batch,
     solve_kcoloring,
 )
 from .seeds import mix_seed, rng_for

@@ -36,10 +36,16 @@ __all__ = [
     "random_init",
     "step",
     "evolve",
+    "integrate",
+    "step_count",
     "wrap_phases",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Noise is drawn ahead in blocks of whole steps for all iterations at once:
+# at most this many bytes of float64, or one step's worth if that is larger.
+NOISE_BLOCK_BYTES = 128 * 1024
 
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:
@@ -114,6 +120,9 @@ class DynamicsParams:
     dt: float = 0.01
 
     def __post_init__(self):
+        for name in ("coupling", "locking", "noise", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.coupling < 0 or self.locking < 0 or self.noise < 0:
             raise ValueError("coupling, locking, and noise must be nonnegative")
         if self.dt <= 0:
@@ -159,20 +168,6 @@ def random_init(n: int, rng: np.random.Generator) -> PhaseState:
     return PhaseState(rng.uniform(0.0, TWO_PI, size=n), time=0.0)
 
 
-def _drift(phases, graph, gate, shil, params):
-    active = gate.active
-    s = graph.w[active] * np.sin(phases[graph.ei[active]] - phases[graph.ej[active]])
-    torque = np.bincount(graph.ei[active], weights=s, minlength=graph.n)
-    torque -= np.bincount(graph.ej[active], weights=s, minlength=graph.n)
-    d = params.coupling * torque
-    if params.locking > 0.0:
-        lock = np.where(
-            shil.enabled, np.sin(2.0 * (phases - shil.select)), 0.0
-        )
-        d -= params.locking * lock
-    return d
-
-
 def _check_dims(state, graph, gate, shil):
     if state.n != graph.n:
         raise ValueError(f"state has {state.n} phases, graph has {graph.n} nodes")
@@ -180,6 +175,83 @@ def _check_dims(state, graph, gate, shil):
         raise ValueError("gate length does not match edge count")
     if len(shil.enabled) != graph.n or len(shil.select) != graph.n:
         raise ValueError("injection config length does not match node count")
+
+
+def integrate(
+    phases: np.ndarray,
+    n_steps: int,
+    graph: Graph,
+    gate: CouplingGate,
+    shil: ShilConfig,
+    params: DynamicsParams,
+    rngs=None,
+    xi: np.ndarray | None = None,
+    recorder: TrajectoryRecorder | None = None,
+    time: float = 0.0,
+) -> tuple[np.ndarray, float]:
+    """Advance a (B, n) phase array by n_steps Euler-Maruyama steps.
+
+    Row b is an independent iteration. gate.active broadcasts to (B, E) and
+    shil.enabled / shil.select to (B, n), so one window can hold a different
+    gate and lock reference per iteration. Noise for row b comes from rngs[b]
+    unless xi (shape (B, n_steps, n)) is given. Returns the new phases and
+    the clock, advanced by dt per step. The recorder samples row 0.
+
+    Results are bit-identical to stepping each row on its own: gated edges
+    are compacted once, in (iteration, edge) order, into flat node indices
+    of the (B * n) array, so np.bincount adds each node's torques in the
+    same order as for a single row, and drawing c * n normals from a
+    generator gives the same values as c draws of n.
+    """
+    phases = np.array(phases, dtype=np.float64, ndmin=2)
+    batch, n = phases.shape
+    iteration, edge = np.nonzero(np.broadcast_to(gate.active, (batch, graph.edge_count)))
+    ei = graph.ei[edge] + n * iteration
+    ej = graph.ej[edge] + n * iteration
+    w = graph.w[edge]
+    locking = params.locking > 0.0 and bool(np.any(shil.enabled))
+    all_locked = bool(np.all(shil.enabled))
+    noisy = params.noise > 0.0
+    if noisy:
+        if xi is not None:
+            noise_buf, block = xi, max(n_steps, 1)
+        elif rngs is None:
+            raise ValueError("noise > 0 requires an rng or explicit xi")
+        else:
+            block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * batch * n)))
+            noise_buf = np.empty((batch, block, n))
+    noise_scale = params.noise * math.sqrt(params.dt)
+    for k in range(n_steps):
+        if recorder is not None:
+            recorder.record(PhaseState(phases[0], time), k)
+        drift = None
+        if len(w):
+            flat = phases.reshape(-1)
+            s = w * np.sin(flat[ei] - flat[ej])
+            torque = np.bincount(ei, weights=s, minlength=batch * n)
+            torque -= np.bincount(ej, weights=s, minlength=batch * n)
+            drift = (params.coupling * torque).reshape(batch, n)
+        if locking:
+            lock = np.sin(2.0 * (phases - shil.select))
+            if not all_locked:
+                lock = np.where(shil.enabled, lock, 0.0)
+            if drift is None:
+                drift = np.zeros((batch, n))
+            drift -= params.locking * lock
+        if drift is not None:
+            phases += params.dt * drift
+        if noisy:
+            j = k % block
+            if j == 0 and xi is None:
+                c = min(block, n_steps - k)
+                for b, rng in enumerate(rngs):
+                    rng.standard_normal(out=noise_buf[b, :c])
+            phases += noise_scale * noise_buf[:, j]
+        phases = wrap_phases(phases)
+        time += params.dt
+    if recorder is not None:
+        recorder.record(PhaseState(phases[0], time), n_steps)
+    return phases, time
 
 
 def step(
@@ -199,14 +271,13 @@ def step(
     """
     _check_dims(state, graph, gate, shil)
     params.check_stability(graph)
-    phases = state.phases + params.dt * _drift(state.phases, graph, gate, shil, params)
-    if params.noise > 0.0:
-        if xi is None:
-            if rng is None:
-                raise ValueError("noise > 0 requires an rng or explicit xi")
-            xi = rng.standard_normal(graph.n)
-        phases = phases + params.noise * math.sqrt(params.dt) * xi
-    return PhaseState(wrap_phases(phases), time=state.time + params.dt)
+    if xi is not None:
+        xi = np.asarray(xi, dtype=np.float64).reshape(1, 1, graph.n)
+    phases, t = integrate(
+        state.phases, 1, graph, gate, shil, params,
+        rngs=None if rng is None else [rng], xi=xi, time=state.time,
+    )
+    return PhaseState(phases[0], time=t)
 
 
 def evolve(
@@ -224,19 +295,13 @@ def evolve(
         raise ValueError("duration must be nonnegative")
     _check_dims(state, graph, gate, shil)
     params.check_stability(graph)
-    n_steps = math.ceil(duration / params.dt - 1e-12)
-    phases = state.phases.copy()
-    t = state.time
-    sqrt_dt = math.sqrt(params.dt)
-    for k in range(n_steps):
-        if recorder is not None:
-            recorder.record(PhaseState(phases, t), k)
-        phases += params.dt * _drift(phases, graph, gate, shil, params)
-        if params.noise > 0.0:
-            phases += params.noise * sqrt_dt * rng.standard_normal(graph.n)
-        phases = wrap_phases(phases)
-        t += params.dt
-    out = PhaseState(phases, time=t)
-    if recorder is not None:
-        recorder.record(out, n_steps)
-    return out
+    phases, t = integrate(
+        state.phases, step_count(duration, params.dt), graph, gate, shil, params,
+        rngs=None if rng is None else [rng], recorder=recorder, time=state.time,
+    )
+    return PhaseState(phases[0], time=t)
+
+
+def step_count(duration: float, dt: float) -> int:
+    """Steps in a window of the given duration: ceil(duration / dt)."""
+    return math.ceil(duration / dt - 1e-12)

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
 
 from .graph import Graph
 from .scheduler import SolveResult
@@ -129,15 +128,23 @@ class RunStats:
             )
 
 
-def aggregate(results: list[SolveResult], graph: Graph) -> RunStats:
+BASELINE_KINDS = ("exact", "best-known", "upper-bound")
+
+
+def aggregate(
+    results: list[SolveResult], graph: Graph, baseline_kind: str = "best-known"
+) -> RunStats:
     """Fold per-iteration results into RunStats.
 
     Correlation is Pearson between cut and coloring accuracy across
     iterations; a constant series makes it undefined, reported as 0 with
-    the degenerate flag set. Spearman is included alongside.
+    the degenerate flag set. Spearman is included alongside. baseline_kind
+    names the cut normalizer the results used (one of BASELINE_KINDS).
     """
     if not results:
         raise ValueError("need at least one result")
+    if baseline_kind not in BASELINE_KINDS:
+        raise ValueError(f"baseline_kind must be one of {BASELINE_KINDS}")
     for r in results:
         if len(r.coloring) != graph.n:
             raise ValueError("result does not match the graph")
@@ -158,6 +165,8 @@ def aggregate(results: list[SolveResult], graph: Graph) -> RunStats:
     if degenerate:
         pearson, spearman = 0.0, 0.0
     else:
+        from scipy import stats as _sps  # slow to import; only needed here
+
         pearson = float(_sps.pearsonr(cut_acc, col_acc).statistic)
         spearman = float(_sps.spearmanr(cut_acc, col_acc).statistic)
 
@@ -169,4 +178,5 @@ def aggregate(results: list[SolveResult], graph: Graph) -> RunStats:
         stage_correlation=pearson,
         correlation_degenerate=bool(degenerate),
         spearman_correlation=spearman,
+        cut_baseline_note=baseline_kind,
     )

@@ -81,25 +81,36 @@ def exact_coloring(
         for u in touched:
             neighbor_colors[u].discard(c)
 
-    def backtrack(colored, used):
-        if deadline is not None and time.monotonic() > deadline:
-            raise OracleTimeout(f"exceeded {time_budget}s searching for a {k}-coloring")
-        if colored == graph.n:
-            return True
-        v = pick_node()
+    # Depth-first search with an explicit stack, one frame per colored node:
+    # [node, colors in use before it, next color to try, nodes its current
+    # color touched]. Frames try colors in the order a recursive search would.
+    frames = []
+    used = 0
+    descend = True
+    while True:
+        if descend:
+            if deadline is not None and time.monotonic() > deadline:
+                raise OracleTimeout(f"exceeded {time_budget}s searching for a {k}-coloring")
+            if len(frames) == graph.n:
+                return colors
+            frames.append([pick_node(), used, 0, None])
+        frame = frames[-1]
+        v, used_before, c, touched = frame
+        if touched is not None:
+            unassign(v, c - 1, touched)
         # symmetry breaking: at most one brand-new color is worth trying
-        for c in range(min(used + 1, k)):
-            if c in neighbor_colors[v]:
-                continue
-            touched = assign(v, c)
-            if backtrack(colored + 1, max(used, c + 1)):
-                return True
-            unassign(v, c, touched)
-        return False
-
-    if backtrack(0, 0):
-        return colors
-    return None
+        limit = min(used_before + 1, k)
+        while c < limit and c in neighbor_colors[v]:
+            c += 1
+        if c < limit:
+            frame[2], frame[3] = c + 1, assign(v, c)
+            used = max(used_before, c + 1)
+            descend = True
+        else:
+            frames.pop()
+            if not frames:
+                return None
+            descend = False
 
 
 def constructive_kings_coloring(side: int) -> list[int]:

@@ -26,8 +26,9 @@ from .dynamics import (
     DynamicsParams,
     PhaseState,
     ShilConfig,
-    evolve,
+    integrate,
     random_init,
+    step_count,
     wrap_phases,
 )
 from .graph import Graph
@@ -43,6 +44,8 @@ __all__ = [
     "assign_shil",
     "solve_4coloring",
     "solve_kcoloring",
+    "solve_batch",
+    "cut_baseline_kind",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -124,15 +127,15 @@ def quantize_phase(theta: float, k: int) -> int:
 
 
 def quantize_phases(thetas: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized quantize_phase over a phase vector."""
+    """Vectorized quantize_phase over a phase array of any shape."""
     if k < 2:
         raise ValueError("need at least 2 quantization levels")
     thetas = wrap_phases(np.asarray(thetas, dtype=np.float64).copy())
     targets = TWO_PI * np.arange(k) / k
-    diff = thetas[:, None] - targets[None, :]
+    diff = thetas[..., None] - targets
     dist = np.abs(np.mod(diff + math.pi, TWO_PI) - math.pi)
     # argmin returns the first (smallest) index on exact ties
-    return np.argmin(dist, axis=1).astype(np.int64)
+    return np.argmin(dist, axis=-1).astype(np.int64)
 
 
 def partition_from_phases(
@@ -148,11 +151,14 @@ def partition_from_phases(
 
 
 def gate_couplings(graph: Graph, labels) -> CouplingGate:
-    """Keep only couplings whose endpoints share a label (cut cross edges)."""
+    """Keep only couplings whose endpoints share a label (cut cross edges).
+
+    labels may be (B, n), one row per iteration; the gate is then (B, E).
+    """
     labels = np.asarray(labels)
-    if len(labels) != graph.n:
+    if labels.shape[-1:] != (graph.n,):
         raise ValueError("labels length does not match node count")
-    return CouplingGate(labels[graph.ei] == labels[graph.ej])
+    return CouplingGate(labels[..., graph.ei] == labels[..., graph.ej])
 
 
 def assign_shil(labels) -> ShilConfig:
@@ -170,9 +176,97 @@ def _group_lock_distance(phases, phi):
     return np.minimum(rel, math.pi - rel)
 
 
-def _cut_value(graph: Graph, labels) -> float:
-    labels = np.asarray(labels)
-    return float(np.sum(graph.w[labels[graph.ei] != labels[graph.ej]]))
+def solve_batch(
+    graph: Graph,
+    m: int,
+    params: DynamicsParams | None = None,
+    plan: StagePlan | None = None,
+    seeds=(0,),
+    baseline_cut: float | None = None,
+    lock_tolerance: float = LOCK_TOLERANCE,
+) -> list[SolveResult]:
+    """Solve 2^m-coloring by m staged binary splits, once per seed.
+
+    The iterations are integrated together as one (len(seeds), n) phase
+    array; iteration b draws all its randomness from rng_for(seeds[b]), so
+    each result is bit-identical to solving that seed alone. m = 1 is plain
+    max-cut; m = 2 is the 4-coloring machine. Stages beyond the first reuse
+    the t_relax / t_anneal2 / t_lock2 durations. Each result's wall_time is
+    its share of the batch's wall time.
+    """
+    if m < 1:
+        raise ValueError("need at least one stage")
+    if graph.n < 1:
+        raise ValueError("graph must have at least one node")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    params = params or DynamicsParams()
+    plan = plan or StagePlan()
+    params.check_stability(graph)
+
+    t0 = _time.perf_counter()
+    rngs = [rng_for(seed) for seed in seeds]
+    relax_params = params.with_noise(plan.sigma_relax)
+
+    def window(phases, duration, gate, shil, window_params):
+        steps = step_count(duration, window_params.dt)
+        return integrate(phases, steps, graph, gate, shil, window_params, rngs)[0]
+
+    # free drift with couplings off before the first anneal
+    phases = np.stack([random_init(graph.n, rng).phases for rng in rngs])
+    gate_off = CouplingGate.all_off(graph)
+    shil_off = ShilConfig.off(graph.n)
+    phases = window(phases, plan.t_init, gate_off, shil_off, relax_params)
+
+    groups = np.zeros(phases.shape, dtype=np.int64)
+    partition = None
+    unlocked = [[] for _ in seeds]
+    for stage in range(1, m + 1):
+        t_anneal = plan.t_anneal1 if stage == 1 else plan.t_anneal2
+        t_lock = plan.t_lock1 if stage == 1 else plan.t_lock2
+        gate = gate_couplings(graph, groups)
+        phi = groups * (math.pi / 2 ** (stage - 1))
+        shil = ShilConfig(enabled=np.ones(graph.n, dtype=bool), select=phi)
+
+        phases = window(phases, t_anneal, gate, shil_off, params)
+        phases = window(phases, t_lock, gate, shil, params)
+
+        dist = _group_lock_distance(phases, phi)
+        for b in np.flatnonzero(~np.all(dist <= lock_tolerance, axis=1)):
+            unlocked[b].append(stage)
+        # split each group: bit 0 if nearer phi, 1 if nearer phi + pi
+        bit = quantize_phases(phases - phi, 2)
+        groups = groups + bit * 2 ** (stage - 1)
+
+        if stage == 1:
+            partition = groups.copy()
+        if stage < m:
+            phases = window(phases, plan.t_relax, gate_off, shil_off, relax_params)
+
+    coloring = quantize_phases(phases, 2**m)
+
+    from .metrics import coloring_accuracy, cut_value
+
+    if baseline_cut is None:
+        baseline_cut = _resolve_cut_baseline(graph)[0]
+    wall_time = (_time.perf_counter() - t0) / len(seeds)
+    results = []
+    for b, seed in enumerate(seeds):
+        if baseline_cut > 0:
+            cut_acc = cut_value(graph, partition[b]) / baseline_cut
+        else:
+            cut_acc = 1.0  # edgeless graph: any partition is trivially optimal
+        results.append(SolveResult(
+            seed=seed,
+            partition=partition[b],
+            coloring=coloring[b],
+            cut_accuracy=cut_acc,
+            coloring_accuracy=coloring_accuracy(graph, coloring[b]),
+            wall_time=wall_time,
+            unlocked_stages=unlocked[b],
+        ))
+    return results
 
 
 def solve_kcoloring(
@@ -184,75 +278,11 @@ def solve_kcoloring(
     baseline_cut: float | None = None,
     lock_tolerance: float = LOCK_TOLERANCE,
 ) -> SolveResult:
-    """Solve 2^m-coloring by m staged binary splits.
-
-    m = 1 is plain max-cut; m = 2 is the 4-coloring machine. Stages beyond
-    the first reuse the t_relax / t_anneal2 / t_lock2 durations.
-    """
-    if m < 1:
-        raise ValueError("need at least one stage")
-    if graph.n < 1:
-        raise ValueError("graph must have at least one node")
-    params = params or DynamicsParams()
-    plan = plan or StagePlan()
-    params.check_stability(graph)
-
-    t0 = _time.perf_counter()
-    rng = rng_for(seed)
-    relax_params = params.with_noise(plan.sigma_relax)
-
-    # free drift with couplings off before the first anneal
-    state = random_init(graph.n, rng)
-    gate_off = CouplingGate.all_off(graph)
-    shil_off = ShilConfig.off(graph.n)
-    state = evolve(state, plan.t_init, graph, gate_off, shil_off, relax_params, rng)
-
-    groups = np.zeros(graph.n, dtype=np.int64)
-    partition = None
-    unlocked = []
-    for stage in range(1, m + 1):
-        t_anneal = plan.t_anneal1 if stage == 1 else plan.t_anneal2
-        t_lock = plan.t_lock1 if stage == 1 else plan.t_lock2
-        gate = gate_couplings(graph, groups)
-        phi = groups * (math.pi / 2 ** (stage - 1))
-        shil = ShilConfig(enabled=np.ones(graph.n, dtype=bool), select=phi)
-
-        state = evolve(state, t_anneal, graph, gate, shil_off, params, rng)
-        state = evolve(state, t_lock, graph, gate, shil, params, rng)
-
-        dist = _group_lock_distance(state.phases, phi)
-        if not np.all(dist <= lock_tolerance):
-            unlocked.append(stage)
-        # split each group: bit 0 if nearer phi, 1 if nearer phi + pi
-        bit = quantize_phases(state.phases - phi, 2)
-        groups = groups + bit * 2 ** (stage - 1)
-
-        if stage == 1:
-            partition = groups.copy()
-        if stage < m:
-            state = evolve(state, plan.t_relax, graph, gate_off, shil_off, relax_params, rng)
-
-    coloring = quantize_phases(state.phases, 2**m)
-
-    from .metrics import coloring_accuracy as _coloring_accuracy
-
-    if baseline_cut is None:
-        baseline_cut = _resolve_cut_baseline(graph)
-    achieved = _cut_value(graph, partition)
-    if baseline_cut > 0:
-        cut_acc = achieved / baseline_cut
-    else:
-        cut_acc = 1.0  # edgeless graph: any partition is trivially optimal
-
-    return SolveResult(
-        seed=seed,
-        partition=partition,
-        coloring=coloring,
-        cut_accuracy=cut_acc,
-        coloring_accuracy=_coloring_accuracy(graph, coloring),
-        wall_time=_time.perf_counter() - t0,
-        unlocked_stages=unlocked,
-    )
+    """Solve 2^m-coloring for one seed; see solve_batch."""
+    return solve_batch(
+        graph, m, params, plan, [seed],
+        baseline_cut=baseline_cut, lock_tolerance=lock_tolerance,
+    )[0]
 
 
 def solve_4coloring(
@@ -270,21 +300,32 @@ def solve_4coloring(
     )
 
 
-def _resolve_cut_baseline(graph: Graph) -> float:
-    """Best available max-cut normalizer.
+def cut_baseline_kind(graph: Graph) -> str:
+    """Which max-cut normalizer _resolve_cut_baseline uses for this graph.
 
-    Exact enumeration up to 24 nodes, the row-stripe value for King's
-    graphs (best-known, not proven optimal), otherwise the total edge
-    weight (an upper bound, so accuracies are conservative).
+    "exact" (enumeration up to 24 nodes, or no edges), "best-known" (the
+    row-stripe value on King's graphs, not proven optimal) or "upper-bound"
+    (the total edge weight, so accuracies are conservative).
     """
-    from .oracle import brute_force_maxcut, stripe_cut_value
     from .graph import kings_side
 
-    if graph.edge_count == 0:
-        return 0.0
-    if graph.n <= 24:
-        return brute_force_maxcut(graph)[0]
+    if graph.edge_count == 0 or graph.n <= 24:
+        return "exact"
     side = kings_side(graph)
     if side is not None and side >= 2:
-        return float(stripe_cut_value(side))
-    return graph.total_weight()
+        return "best-known"
+    return "upper-bound"
+
+
+def _resolve_cut_baseline(graph: Graph) -> tuple[float, str]:
+    """Best available max-cut normalizer and its kind (see cut_baseline_kind)."""
+    from .oracle import brute_force_maxcut, stripe_cut_value
+
+    kind = cut_baseline_kind(graph)
+    if graph.edge_count == 0:
+        return 0.0, kind
+    if kind == "exact":
+        return brute_force_maxcut(graph)[0], kind
+    if kind == "best-known":
+        return float(stripe_cut_value(math.isqrt(graph.n))), kind
+    return graph.total_weight(), kind

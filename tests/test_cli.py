@@ -139,6 +139,18 @@ class TestStats:
         assert rc == 0
         assert (outdir / "stats.json").read_text() == original
 
+    @pytest.mark.parametrize("side,kind", [(2, "exact"), (5, "best-known")])
+    def test_baseline_kind_in_stats(self, side, kind, tmp_path):
+        path = str(tmp_path / "g.col")
+        save_graph(kings_graph(side), path)
+        outdir = tmp_path / "r"
+        main(["solve", "-g", path, "--iters", "2", "--seed", "1", "-o", str(outdir)])
+        doc = json.loads((outdir / "stats.json").read_text())
+        assert doc["cut_baseline_note"] == kind
+        main(["stats", "-g", path, str(outdir)])
+        doc = json.loads((outdir / "stats.json").read_text())
+        assert doc["cut_baseline_note"] == kind
+
     def test_empty_dir(self, k4_path, tmp_path):
         assert main(["stats", "-g", k4_path, str(tmp_path)]) != 0
 

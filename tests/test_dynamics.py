@@ -171,11 +171,25 @@ class TestEvolve:
             assert np.all(state.phases >= 0.0)
             assert np.all(state.phases < TWO_PI)
 
+    def test_noise_requires_rng(self):
+        state = PhaseState(np.zeros(2))
+        gate, shil = free_config(EDGE)
+        with pytest.raises(ValueError, match="rng"):
+            evolve(state, 1.0, EDGE, gate, shil, DynamicsParams(noise=0.1))
+
     def test_negative_duration_rejected(self):
         state = PhaseState(np.zeros(2))
         gate, shil = free_config(EDGE)
         with pytest.raises(ValueError):
             evolve(state, -1.0, EDGE, gate, shil, DynamicsParams(noise=0.0))
+
+
+class TestParams:
+    @pytest.mark.parametrize("name", ["coupling", "locking", "noise", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            DynamicsParams(**{name: value})
 
 
 class TestLyapunovDescent:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,3 +217,13 @@ class TestSerialization:
         res = make_result([0, 1], col_acc=1.0)
         assert "wall_time" not in res.to_dict()
         assert "wall_time" in res.to_dict(include_timing=True)
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, pottsim; print('scipy.stats' in sys.modules)"
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -47,6 +47,14 @@ class TestExactColoring:
     def test_edgeless(self):
         assert exact_coloring(Graph(3, []), 1) == [0, 0, 0]
 
+    @pytest.mark.parametrize("side", [32, 46])
+    def test_large_kings_within_node_limit(self, side):
+        # deeper than the interpreter's recursion limit
+        g = kings_graph(side)
+        coloring = exact_coloring(g, 4)
+        assert coloring is not None
+        assert proper(g, coloring, 4)
+
     def test_chromatic_number_bracketing(self):
         # odd cycle needs 3 colors, even cycle needs 2
         c5 = Graph(5, [(i, (i + 1) % 5, 1.0) if i < 4 else (0, 4, 1.0) for i in range(5)])

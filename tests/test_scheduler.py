@@ -9,6 +9,7 @@ from pottsim.metrics import coloring_accuracy
 from pottsim.oracle import exact_coloring
 from pottsim.scheduler import (
     StagePlan,
+    _resolve_cut_baseline,
     assign_shil,
     gate_couplings,
     partition_from_phases,
@@ -237,6 +238,17 @@ class TestCrossGroupIndependence:
             for k in range(n_steps):
                 state = step(state, sub, sub_gate, sub_shil, params, xi=xi[k][nodes])
             assert np.allclose(state.phases, full.phases[nodes], atol=1e-12)
+
+
+class TestCutBaseline:
+    @pytest.mark.parametrize("graph,value,kind", [
+        (TRIANGLE, 2.0, "exact"),
+        (Graph(3, []), 0.0, "exact"),
+        (kings_graph(7), 114.0, "best-known"),
+        (Graph(30, [(i, i + 1, 0.5) for i in range(29)]), 14.5, "upper-bound"),
+    ], ids=["small", "edgeless", "kings", "large"])
+    def test_value_and_kind(self, graph, value, kind):
+        assert _resolve_cut_baseline(graph) == (value, kind)
 
 
 class TestStagePlan:
