@@ -26,6 +26,7 @@ from .hamiltonian import (
 )
 from .metrics import (
     RunStats,
+    SolveResult,
     aggregate,
     coloring_accuracy,
     cut_accuracy,
@@ -37,11 +38,11 @@ from .oracle import (
     OracleTimeout,
     brute_force_maxcut,
     constructive_kings_coloring,
+    cut_baseline,
     exact_coloring,
     stripe_cut_value,
 )
 from .scheduler import (
-    SolveResult,
     StagePlan,
     assign_shil,
     gate_couplings,

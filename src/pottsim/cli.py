@@ -3,8 +3,10 @@ queries, benchmark sweeps, and statistics export.
 
 Subcommands: gen, solve, oracle, bench, stats. Defaults follow the
 5/20/5/5/20/5 stage schedule with 40 iterations. A flat key=value config
-file (see RunConfig.CONFIG_KEYS) can override defaults; CLI flags override
-the file. POTTSIM_CONFIG names a default config path.
+file can override defaults; its keys, RunConfig.CONFIG_KEYS, are the fields
+of DynamicsParams and StagePlan plus iterations, seed and colors. CLI flags
+override the file. POTTSIM_CONFIG names a default config path. Bad input
+exits with status 1 and an "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -16,19 +18,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dynamics import DynamicsParams
-from .graph import GraphFormatError, kings_graph, load_graph, save_graph
-from .metrics import aggregate
-from .oracle import OracleTimeout, exact_coloring
-from .scheduler import (
-    SolveResult,
-    StagePlan,
-    _resolve_cut_baseline,
-    cut_baseline_kind,
-    solve_batch,
-)
+from .graph import kings_graph, load_graph, save_graph
+from .metrics import RunStats, SolveResult, aggregate
+from .oracle import OracleTimeout, cut_baseline, cut_baseline_kind, exact_coloring
+from .scheduler import StagePlan, solve_batch
 from .seeds import mix_seed
 
 CONFIG_ENV_VAR = "POTTSIM_CONFIG"
@@ -45,13 +41,10 @@ class RunConfig:
     iterations: int = 40
     master_seed: int = 0
     colors: int = 4
-    output_dir: str | None = None
 
-    CONFIG_KEYS = (
-        "coupling", "locking", "noise", "dt",
-        "t_init", "t_anneal1", "t_lock1", "t_relax", "t_anneal2", "t_lock2",
-        "sigma_relax", "iterations", "seed", "colors",
-    )
+    CONFIG_KEYS = tuple(
+        f.name for f in fields(DynamicsParams) + fields(StagePlan)
+    ) + ("iterations", "seed", "colors")
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -71,28 +64,17 @@ class RunConfig:
         if path:
             values.update(_parse_config_file(path))
         values.update({k: v for k, v in overrides.items() if v is not None})
-        dyn = DynamicsParams(
-            coupling=float(values.get("coupling", DynamicsParams.coupling)),
-            locking=float(values.get("locking", DynamicsParams.locking)),
-            noise=float(values.get("noise", DynamicsParams.noise)),
-            dt=float(values.get("dt", DynamicsParams.dt)),
-        )
-        plan = StagePlan(
-            t_init=float(values.get("t_init", StagePlan.t_init)),
-            t_anneal1=float(values.get("t_anneal1", StagePlan.t_anneal1)),
-            t_lock1=float(values.get("t_lock1", StagePlan.t_lock1)),
-            t_relax=float(values.get("t_relax", StagePlan.t_relax)),
-            t_anneal2=float(values.get("t_anneal2", StagePlan.t_anneal2)),
-            t_lock2=float(values.get("t_lock2", StagePlan.t_lock2)),
-            sigma_relax=float(values.get("sigma_relax", StagePlan.sigma_relax)),
-        )
+
+        def floats(params_cls):
+            names = [f.name for f in fields(params_cls)]
+            return {name: float(values[name]) for name in names if name in values}
+
         return cls(
-            dynamics=dyn,
-            plan=plan,
-            iterations=int(values.get("iterations", 40)),
-            master_seed=int(values.get("seed", 0)),
-            colors=int(values.get("colors", 4)),
-            output_dir=values.get("output_dir"),
+            dynamics=DynamicsParams(**floats(DynamicsParams)),
+            plan=StagePlan(**floats(StagePlan)),
+            iterations=int(values.get("iterations", cls.iterations)),
+            master_seed=int(values.get("seed", cls.master_seed)),
+            colors=int(values.get("colors", cls.colors)),
         )
 
 
@@ -112,13 +94,13 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def run_batch(graph, config: RunConfig) -> tuple[list[SolveResult], "object"]:
+def run_batch(graph, config: RunConfig) -> tuple[list[SolveResult], RunStats]:
     """Run config.iterations independent solves; returns (results, RunStats).
 
     Iteration i uses seed mix_seed(master_seed, i), so results are ordered
     and reproducible however the iterations are batched.
     """
-    baseline, kind = _resolve_cut_baseline(graph)
+    baseline, kind = cut_baseline(graph)
     seeds = [mix_seed(config.master_seed, i) for i in range(config.iterations)]
     results = solve_batch(
         graph, config.stages, config.dynamics, config.plan, seeds, baseline_cut=baseline,
@@ -138,31 +120,19 @@ def _write_results(outdir: str, results, stats) -> None:
 
 def cmd_gen(args) -> int:
     graph = kings_graph(args.kings)
-    try:
-        save_graph(graph, args.output, args.format)
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 1
+    save_graph(graph, args.output, args.format)
     print(f"wrote {args.output}: {graph.n} nodes, {graph.edge_count} edges")
     return 0
 
 
 def cmd_solve(args) -> int:
-    try:
-        graph = load_graph(args.graph)
-    except (OSError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = RunConfig.from_sources(
-            args.config,
-            coupling=args.coupling, locking=args.locking,
-            noise=args.noise, dt=args.dt,
-            iterations=args.iters, seed=args.seed, colors=args.colors,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    graph = load_graph(args.graph)
+    config = RunConfig.from_sources(
+        args.config,
+        coupling=args.coupling, locking=args.locking,
+        noise=args.noise, dt=args.dt,
+        iterations=args.iters, seed=args.seed, colors=args.colors,
+    )
     t0 = time.perf_counter()
     results, stats = run_batch(graph, config)
     elapsed = time.perf_counter() - t0
@@ -181,15 +151,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        graph = load_graph(args.graph)
-        witness = exact_coloring(graph, args.colors, time_budget=args.time_budget)
-    except (OSError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OracleTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    graph = load_graph(args.graph)
+    witness = exact_coloring(graph, args.colors, time_budget=args.time_budget)
     if witness is None:
         print(f"not colorable with {args.colors} colors")
     else:
@@ -199,35 +162,23 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sides = sorted(args.sides)
-    rows = []
-    for side in sides:
+    config = RunConfig.from_sources(
+        args.config, iterations=args.iters, seed=args.seed, colors=args.colors,
+    )
+    lines = ["size,search_space,iterations,best_accuracy,mean_accuracy,wall_time_s"]
+    for side in sorted(args.sides):
         graph = kings_graph(side)
-        config = RunConfig.from_sources(
-            args.config, iterations=args.iters, seed=args.seed, colors=args.colors,
-        )
         t0 = time.perf_counter()
         _, stats = run_batch(graph, config)
         elapsed = time.perf_counter() - t0
-        rows.append(
-            (
-                graph.n,
-                f"{config.colors}^{graph.n}",
-                config.iterations,
-                stats.best_accuracy,
-                stats.mean_accuracy,
-                elapsed,
-            )
+        lines.append(
+            f"{graph.n},{config.colors}^{graph.n},{config.iterations},"
+            f"{stats.best_accuracy:.6f},{stats.mean_accuracy:.6f},{elapsed:.3f}"
         )
         print(
             f"side {side} ({graph.n} nodes): best {stats.best_accuracy:.4f}, "
             f"mean {stats.mean_accuracy:.4f}, {elapsed:.1f}s"
         )
-    header = "size,search_space,iterations,best_accuracy,mean_accuracy,wall_time_s"
-    lines = [header] + [
-        f"{n},{space},{iters},{best:.6f},{mean:.6f},{secs:.3f}"
-        for n, space, iters, best, mean, secs in rows
-    ]
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -238,19 +189,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        graph = load_graph(args.graph)
-    except (OSError, GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    graph = load_graph(args.graph)
     paths = sorted(glob.glob(os.path.join(args.results_dir, "result_*.json")))
     if not paths:
-        print(f"error: no result_*.json files in {args.results_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no result_*.json files in {args.results_dir}")
     results = []
     for path in paths:
         with open(path) as fh:
-            results.append(SolveResult.from_dict(json.load(fh)))
+            try:
+                results.append(SolveResult.from_dict(json.load(fh)))
+            except ValueError as exc:  # JSONDecodeError is a ValueError too
+                raise ValueError(f"{path}: {exc}") from exc
     stats = aggregate(results, graph, baseline_kind=cut_baseline_kind(graph))
     stats.to_json(os.path.join(args.results_dir, "stats.json"))
     stats.to_csv(os.path.join(args.results_dir, "stats.csv"))
@@ -324,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, OracleTimeout) as exc:
+        # ValueError covers GraphFormatError, JSON decode and config errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

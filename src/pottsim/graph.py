@@ -79,9 +79,6 @@ class Graph:
             return 0
         return int(self.degrees().max())
 
-    def total_weight(self) -> float:
-        return float(self.w.sum())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .scheduler import SolveResult
+from .oracle import BASELINE_KINDS
 
 __all__ = [
+    "SolveResult",
     "RunStats",
     "coloring_accuracy",
     "cut_accuracy",
@@ -48,11 +49,13 @@ def cut_value(graph: Graph, partition) -> float:
 
 
 def cut_accuracy(graph: Graph, partition, baseline_cut: float) -> float:
-    """Achieved cut weight over the baseline cut.
+    """Achieved cut weight over the baseline cut; 1.0 if no edges.
 
     Can exceed 1.0 when the baseline is merely best-known; the value is
     reported as-is.
     """
+    if graph.edge_count == 0:
+        return 1.0  # any partition of an edgeless graph is optimal
     if baseline_cut <= 0:
         raise ValueError("baseline cut must be positive")
     return cut_value(graph, partition) / baseline_cut
@@ -68,10 +71,61 @@ def hamming(c1, c2) -> int:
 
 def hamming_min_rotation(c1, c2, k: int) -> int:
     """Hamming distance minimized over the k cyclic color rotations of c2."""
-    c1, c2 = np.asarray(c1), np.asarray(c2)
-    if c1.shape != c2.shape:
-        raise ValueError("colorings must have equal length")
-    return min(int(np.count_nonzero(c1 != (c2 + r) % k)) for r in range(k))
+    c2 = np.asarray(c2)
+    return min(hamming(c1, (c2 + r) % k) for r in range(k))
+
+
+@dataclass
+class SolveResult:
+    """Outcome of one solve: stage-1 partition, final coloring, accuracies."""
+
+    seed: int
+    partition: np.ndarray
+    coloring: np.ndarray
+    cut_accuracy: float
+    coloring_accuracy: float
+    wall_time: float
+    unlocked_stages: list[int] = field(default_factory=list)
+
+    SCHEMA_VERSION = 1
+
+    def to_dict(self, include_timing: bool = False) -> dict:
+        doc = {
+            "schema_version": self.SCHEMA_VERSION,
+            "seed": self.seed,
+            "partition": self.partition.tolist(),
+            "coloring": self.coloring.tolist(),
+            "cut_accuracy": self.cut_accuracy,
+            "coloring_accuracy": self.coloring_accuracy,
+            "unlocked_stages": self.unlocked_stages,
+        }
+        # timing is excluded by default so repeated runs are byte-identical
+        if include_timing:
+            doc["wall_time"] = self.wall_time
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SolveResult":
+        """Inverse of to_dict; ValueError on another schema or a missing key."""
+        if not isinstance(doc, dict):
+            raise ValueError("a result must be a JSON object")
+        if doc.get("schema_version") != cls.SCHEMA_VERSION:
+            raise ValueError(
+                f"schema_version {doc.get('schema_version')!r} is not {cls.SCHEMA_VERSION}"
+            )
+        required = ("seed", "partition", "coloring", "cut_accuracy", "coloring_accuracy")
+        missing = [key for key in required if key not in doc]
+        if missing:
+            raise ValueError(f"missing result keys: {', '.join(missing)}")
+        return cls(
+            seed=doc["seed"],
+            partition=np.asarray(doc["partition"], dtype=np.int64),
+            coloring=np.asarray(doc["coloring"], dtype=np.int64),
+            cut_accuracy=doc["cut_accuracy"],
+            coloring_accuracy=doc["coloring_accuracy"],
+            wall_time=doc.get("wall_time", 0.0),
+            unlocked_stages=list(doc.get("unlocked_stages", [])),
+        )
 
 
 @dataclass
@@ -86,7 +140,6 @@ class RunStats:
     correlation_degenerate: bool = False
     spearman_correlation: float | None = None
     cut_baseline_note: str = "best-known"
-    extras: dict = field(default_factory=dict)
 
     SCHEMA_VERSION = 1
 
@@ -126,9 +179,6 @@ class RunStats:
                     f"mean={self.mean_accuracy:.6f}",
                 ]
             )
-
-
-BASELINE_KINDS = ("exact", "best-known", "upper-bound")
 
 
 def aggregate(

@@ -4,11 +4,13 @@ exact_coloring is a DSATUR-ordered backtracking search: exact for the
 K-colorability decision, fast on the benchmark family, and the reference
 everything else is checked against. brute_force_maxcut enumerates
 partitions (n <= 24). The King's-graph closed forms give a constructive
-proper 4-coloring and the best-known (row-stripe) cut value.
+proper 4-coloring and the best-known (row-stripe) cut value. cut_baseline
+picks the max-cut normalizer that cut accuracies are reported against.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -21,7 +23,12 @@ __all__ = [
     "constructive_kings_coloring",
     "brute_force_maxcut",
     "stripe_cut_value",
+    "BASELINE_KINDS",
+    "cut_baseline_kind",
+    "cut_baseline",
 ]
+
+BASELINE_KINDS = ("exact", "best-known", "upper-bound")
 
 
 class OracleTimeout(Exception):
@@ -158,3 +165,35 @@ def stripe_cut_value(side: int) -> int:
     if side < 2:
         raise ValueError("side must be >= 2")
     return side * (side - 1) + 2 * (side - 1) ** 2
+
+
+def cut_baseline_kind(graph: Graph) -> str:
+    """Which max-cut normalizer cut_baseline uses for this graph.
+
+    "exact" (enumeration up to 24 nodes, or no edges), "best-known" (the
+    row-stripe value on King's graphs, not proven optimal) or "upper-bound"
+    (the total positive edge weight, so accuracies are conservative).
+    """
+    # imported at call time, so a replacement of pottsim.graph.kings_side
+    # (a tracer's timing wrapper, say) is the one called
+    from .graph import kings_side
+
+    if graph.edge_count == 0 or graph.n <= 24:
+        return "exact"
+    side = kings_side(graph)
+    if side is not None and side >= 2:
+        return "best-known"
+    return "upper-bound"
+
+
+def cut_baseline(graph: Graph) -> tuple[float, str]:
+    """Best available max-cut normalizer and its kind (see cut_baseline_kind)."""
+    kind = cut_baseline_kind(graph)
+    if graph.edge_count == 0:
+        return 0.0, kind
+    if kind == "exact":
+        return brute_force_maxcut(graph)[0], kind
+    if kind == "best-known":
+        return float(stripe_cut_value(math.isqrt(graph.n))), kind
+    # no cut weighs more than all positive edges; negative ones only lower it
+    return float(np.maximum(graph.w, 0.0).sum()), kind

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .dynamics import (
     wrap_phases,
 )
 from .graph import Graph
+from .metrics import SolveResult, coloring_accuracy, cut_accuracy
+from .oracle import cut_baseline, cut_baseline_kind
 from .seeds import rng_for
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "SolveResult",
     "quantize_phase",
     "quantize_phases",
+    "lock_readout",
     "partition_from_phases",
     "gate_couplings",
     "assign_shil",
@@ -47,6 +50,9 @@ __all__ = [
     "solve_batch",
     "cut_baseline_kind",
 ]
+
+# the cut baseline lives in oracle; this name is kept for existing callers
+_resolve_cut_baseline = cut_baseline
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,59 +76,13 @@ class StagePlan:
     sigma_relax: float = 0.5
 
     def __post_init__(self):
-        for name in ("t_init", "t_anneal1", "t_lock1", "t_relax", "t_anneal2", "t_lock2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.sigma_relax < 0:
-            raise ValueError("sigma_relax must be nonnegative")
-
-
-@dataclass
-class SolveResult:
-    """Outcome of one solve: stage-1 partition, final coloring, accuracies."""
-
-    seed: int
-    partition: np.ndarray
-    coloring: np.ndarray
-    cut_accuracy: float
-    coloring_accuracy: float
-    wall_time: float
-    unlocked_stages: list[int] = field(default_factory=list)
-
-    SCHEMA_VERSION = 1
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        doc = {
-            "schema_version": self.SCHEMA_VERSION,
-            "seed": self.seed,
-            "partition": self.partition.tolist(),
-            "coloring": self.coloring.tolist(),
-            "cut_accuracy": self.cut_accuracy,
-            "coloring_accuracy": self.coloring_accuracy,
-            "unlocked_stages": self.unlocked_stages,
-        }
-        # timing is excluded by default so repeated runs are byte-identical
-        if include_timing:
-            doc["wall_time"] = self.wall_time
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SolveResult":
-        return cls(
-            seed=doc["seed"],
-            partition=np.asarray(doc["partition"], dtype=np.int64),
-            coloring=np.asarray(doc["coloring"], dtype=np.int64),
-            cut_accuracy=doc["cut_accuracy"],
-            coloring_accuracy=doc["coloring_accuracy"],
-            wall_time=doc.get("wall_time", 0.0),
-            unlocked_stages=list(doc.get("unlocked_stages", [])),
-        )
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
 
 def quantize_phase(theta: float, k: int) -> int:
     """Nearest of the k equally spaced phases 2*pi*i/k; ties go to smaller i."""
-    if k < 2:
-        raise ValueError("need at least 2 quantization levels")
     return int(quantize_phases(np.array([theta]), k)[0])
 
 
@@ -138,16 +98,28 @@ def quantize_phases(thetas: np.ndarray, k: int) -> np.ndarray:
     return np.argmin(dist, axis=-1).astype(np.int64)
 
 
+def lock_readout(phases, phi, tolerance: float):
+    """Read each oscillator against its lock pair {phi, phi + pi}.
+
+    phases and phi broadcast against each other, nodes on the last axis.
+    Returns (bits, locked): bit 0 where the phase is nearer phi and 1 where
+    it is nearer phi + pi, and per row whether every phase lies within
+    tolerance of its pair.
+    """
+    shifted = phases - phi
+    rel = np.mod(shifted, math.pi)
+    dist = np.minimum(rel, math.pi - rel)
+    return quantize_phases(shifted, 2), np.all(dist <= tolerance, axis=-1)
+
+
 def partition_from_phases(
     state: PhaseState, tolerance: float = LOCK_TOLERANCE
 ) -> tuple[np.ndarray, bool]:
     """Binary labels from nearest of {0, pi}; locked iff all within tolerance."""
     if not 0.0 < tolerance < math.pi / 2:
         raise ValueError("tolerance must lie in (0, pi/2)")
-    labels = quantize_phases(state.phases, 2)
-    targets = labels * math.pi
-    dist = np.abs(np.mod(state.phases - targets + math.pi, TWO_PI) - math.pi)
-    return labels, bool(np.all(dist <= tolerance))
+    labels, locked = lock_readout(state.phases, 0.0, tolerance)
+    return labels, bool(locked)
 
 
 def gate_couplings(graph: Graph, labels) -> CouplingGate:
@@ -170,12 +142,6 @@ def assign_shil(labels) -> ShilConfig:
     )
 
 
-def _group_lock_distance(phases, phi):
-    """Circular distance to the nearer of {phi, phi + pi}."""
-    rel = np.mod(phases - phi, math.pi)
-    return np.minimum(rel, math.pi - rel)
-
-
 def solve_batch(
     graph: Graph,
     m: int,
@@ -183,7 +149,6 @@ def solve_batch(
     plan: StagePlan | None = None,
     seeds=(0,),
     baseline_cut: float | None = None,
-    lock_tolerance: float = LOCK_TOLERANCE,
 ) -> list[SolveResult]:
     """Solve 2^m-coloring by m staged binary splits, once per seed.
 
@@ -232,11 +197,10 @@ def solve_batch(
         phases = window(phases, t_anneal, gate, shil_off, params)
         phases = window(phases, t_lock, gate, shil, params)
 
-        dist = _group_lock_distance(phases, phi)
-        for b in np.flatnonzero(~np.all(dist <= lock_tolerance, axis=1)):
-            unlocked[b].append(stage)
         # split each group: bit 0 if nearer phi, 1 if nearer phi + pi
-        bit = quantize_phases(phases - phi, 2)
+        bit, locked = lock_readout(phases, phi, LOCK_TOLERANCE)
+        for b in np.flatnonzero(~locked):
+            unlocked[b].append(stage)
         groups = groups + bit * 2 ** (stage - 1)
 
         if stage == 1:
@@ -245,28 +209,21 @@ def solve_batch(
             phases = window(phases, plan.t_relax, gate_off, shil_off, relax_params)
 
     coloring = quantize_phases(phases, 2**m)
-
-    from .metrics import coloring_accuracy, cut_value
-
     if baseline_cut is None:
-        baseline_cut = _resolve_cut_baseline(graph)[0]
+        baseline_cut = cut_baseline(graph)[0]
     wall_time = (_time.perf_counter() - t0) / len(seeds)
-    results = []
-    for b, seed in enumerate(seeds):
-        if baseline_cut > 0:
-            cut_acc = cut_value(graph, partition[b]) / baseline_cut
-        else:
-            cut_acc = 1.0  # edgeless graph: any partition is trivially optimal
-        results.append(SolveResult(
+    return [
+        SolveResult(
             seed=seed,
             partition=partition[b],
             coloring=coloring[b],
-            cut_accuracy=cut_acc,
+            cut_accuracy=cut_accuracy(graph, partition[b], baseline_cut),
             coloring_accuracy=coloring_accuracy(graph, coloring[b]),
             wall_time=wall_time,
             unlocked_stages=unlocked[b],
-        ))
-    return results
+        )
+        for b, seed in enumerate(seeds)
+    ]
 
 
 def solve_kcoloring(
@@ -276,13 +233,9 @@ def solve_kcoloring(
     plan: StagePlan | None = None,
     seed: int = 0,
     baseline_cut: float | None = None,
-    lock_tolerance: float = LOCK_TOLERANCE,
 ) -> SolveResult:
     """Solve 2^m-coloring for one seed; see solve_batch."""
-    return solve_batch(
-        graph, m, params, plan, [seed],
-        baseline_cut=baseline_cut, lock_tolerance=lock_tolerance,
-    )[0]
+    return solve_batch(graph, m, params, plan, [seed], baseline_cut=baseline_cut)[0]
 
 
 def solve_4coloring(
@@ -291,41 +244,6 @@ def solve_4coloring(
     plan: StagePlan | None = None,
     seed: int = 0,
     baseline_cut: float | None = None,
-    lock_tolerance: float = LOCK_TOLERANCE,
 ) -> SolveResult:
     """Two-stage 4-coloring: max-cut, regroup, then per-group max-cut."""
-    return solve_kcoloring(
-        graph, 2, params, plan, seed,
-        baseline_cut=baseline_cut, lock_tolerance=lock_tolerance,
-    )
-
-
-def cut_baseline_kind(graph: Graph) -> str:
-    """Which max-cut normalizer _resolve_cut_baseline uses for this graph.
-
-    "exact" (enumeration up to 24 nodes, or no edges), "best-known" (the
-    row-stripe value on King's graphs, not proven optimal) or "upper-bound"
-    (the total edge weight, so accuracies are conservative).
-    """
-    from .graph import kings_side
-
-    if graph.edge_count == 0 or graph.n <= 24:
-        return "exact"
-    side = kings_side(graph)
-    if side is not None and side >= 2:
-        return "best-known"
-    return "upper-bound"
-
-
-def _resolve_cut_baseline(graph: Graph) -> tuple[float, str]:
-    """Best available max-cut normalizer and its kind (see cut_baseline_kind)."""
-    from .oracle import brute_force_maxcut, stripe_cut_value
-
-    kind = cut_baseline_kind(graph)
-    if graph.edge_count == 0:
-        return 0.0, kind
-    if kind == "exact":
-        return brute_force_maxcut(graph)[0], kind
-    if kind == "best-known":
-        return float(stripe_cut_value(math.isqrt(graph.n))), kind
-    return graph.total_weight(), kind
+    return solve_kcoloring(graph, 2, params, plan, seed, baseline_cut=baseline_cut)

@@ -194,3 +194,55 @@ class TestRunConfig:
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
             RunConfig(iterations=0)
+
+
+class TestBadInput:
+    """Bad input exits 1 with an error line, never a traceback."""
+
+    def _solve(self, graph_path, outdir):
+        assert main(["solve", "-g", graph_path, "--iters", "2", "--seed", "1",
+                     "-o", str(outdir)]) == 0
+
+    def _fails(self, argv, capsys, *needles):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+
+    def test_gen_unknown_extension(self, tmp_path, capsys):
+        self._fails(["gen", "--kings", "3", "-o", str(tmp_path / "g.txt")], capsys, "g.txt")
+
+    def test_stats_for_another_graph(self, k4_path, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        self._solve(k4_path, outdir)
+        other = str(tmp_path / "k3.json")
+        save_graph(kings_graph(3), other)
+        self._fails(["stats", "-g", other, str(outdir)], capsys)
+
+    def test_stats_truncated_result(self, k4_path, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        self._solve(k4_path, outdir)
+        path = outdir / "result_0000.json"
+        path.write_text(path.read_text()[:40])
+        self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(schema_version=99),
+        lambda doc: doc.pop("partition"),
+    ], ids=["schema_version", "missing_key"])
+    def test_stats_invalid_result_names_file(self, edit, k4_path, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        self._solve(k4_path, outdir)
+        path = outdir / "result_0001.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path))
+
+    def test_bench_unknown_config_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("bogus = 1\n")
+        self._fails(["bench", "--sides", "2", "--iters", "1", "--config", str(path)],
+                    capsys, "bogus")

@@ -91,6 +91,9 @@ class TestCutAccuracy:
         with pytest.raises(ValueError):
             cut_accuracy(EDGE, [0, 1], 0.0)
 
+    def test_edgeless_is_one(self):
+        assert cut_accuracy(Graph(3, []), [0, 0, 1], 0.0) == 1.0
+
     def test_can_exceed_one(self):
         # non-optimal baseline is allowed; value is reported as-is
         assert cut_accuracy(EDGE, [0, 1], 0.5) == 2.0
@@ -212,6 +215,18 @@ class TestSerialization:
         assert np.array_equal(back.coloring, res.coloring)
         assert np.array_equal(back.partition, res.partition)
         assert back.cut_accuracy == res.cut_accuracy
+
+    def test_from_dict_rejects_other_schema_version(self):
+        doc = make_result([0, 1], col_acc=1.0).to_dict()
+        doc["schema_version"] = 99
+        with pytest.raises(ValueError, match="schema_version"):
+            SolveResult.from_dict(doc)
+
+    def test_from_dict_rejects_missing_key(self):
+        doc = make_result([0, 1], col_acc=1.0).to_dict()
+        del doc["partition"]
+        with pytest.raises(ValueError, match="partition"):
+            SolveResult.from_dict(doc)
 
     def test_timing_excluded_by_default(self):
         res = make_result([0, 1], col_acc=1.0)

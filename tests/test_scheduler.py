@@ -6,7 +6,7 @@ import pytest
 from pottsim.dynamics import DynamicsParams, PhaseState, step
 from pottsim.graph import Graph, kings_graph
 from pottsim.metrics import coloring_accuracy
-from pottsim.oracle import exact_coloring
+from pottsim.oracle import cut_baseline, exact_coloring
 from pottsim.scheduler import (
     StagePlan,
     _resolve_cut_baseline,
@@ -249,6 +249,11 @@ class TestCutBaseline:
     ], ids=["small", "edgeless", "kings", "large"])
     def test_value_and_kind(self, graph, value, kind):
         assert _resolve_cut_baseline(graph) == (value, kind)
+
+    def test_upper_bound_counts_only_positive_weights(self):
+        graph = Graph(30, [(i, i + 1, 1.0 if i % 2 == 0 else -1.0) for i in range(29)])
+        assert cut_baseline(graph) == (15.0, "upper-bound")
+        assert solve_kcoloring(graph, 1, seed=3).cut_accuracy <= 1.0
 
 
 class TestStagePlan:

@@ -1,0 +1,85 @@
+"""Structure of the pottsim package, read from its source with ast.
+
+Every import counts, at module level or inside a function: the package's
+modules must form an acyclic import graph, and no module may import a
+_private name from another pottsim module.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pottsim"
+
+
+def intra_package_imports():
+    """{module: [(imported module, [imported names]), ...]} within pottsim."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        edges = graph.setdefault(module, [])
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                if node.level == 1:
+                    target = node.module or ""
+                elif node.module and node.module.startswith("pottsim."):
+                    target = node.module.removeprefix("pottsim.")
+                else:
+                    continue
+                names = [alias.name for alias in node.names]
+                if not target:  # from . import x
+                    edges += [(name, []) for name in names]
+                else:
+                    edges.append((target, names))
+            elif isinstance(node, ast.Import):
+                edges += [(alias.name.removeprefix("pottsim."), [])
+                          for alias in node.names if alias.name.startswith("pottsim.")]
+    return graph
+
+
+def find_cycle(graph):
+    """One import cycle as a list of modules, or None."""
+    state = {}
+
+    def visit(module, path):
+        state[module] = "open"
+        for target, _ in graph.get(module, []):
+            if state.get(target) == "open":
+                return path[path.index(target):] + [target]
+            if target not in state:
+                cycle = visit(target, path + [target])
+                if cycle:
+                    return cycle
+        state[module] = "done"
+        return None
+
+    for module in graph:
+        if module not in state:
+            cycle = visit(module, [module])
+            if cycle:
+                return cycle
+    return None
+
+
+def test_every_module_is_read():
+    graph = intra_package_imports()
+    assert {"cli", "scheduler", "metrics", "oracle", "dynamics", "graph"} <= set(graph)
+    assert ("graph", ["Graph"]) in graph["dynamics"]
+
+
+def test_import_graph_is_acyclic():
+    assert find_cycle(intra_package_imports()) is None
+
+
+def test_find_cycle_sees_a_cycle():
+    assert find_cycle({"a": [("b", [])], "b": [("c", [])], "c": [("a", [])]}) == ["a", "b", "c", "a"]
+
+
+def test_no_private_name_imported_from_another_module():
+    private = [
+        (module, target, name)
+        for module, edges in intra_package_imports().items()
+        for target, names in edges
+        for name in names
+        if name.startswith("_") and target != module
+    ]
+    assert private == []
