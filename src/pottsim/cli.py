@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 from .dynamics import DynamicsParams
 from .graph import kings_graph, load_graph, save_graph
-from .metrics import RunStats, SolveResult, aggregate
+from .metrics import RunStats, SolveResult, aggregate, coloring_accuracy
 from .oracle import OracleTimeout, cut_baseline, cut_baseline_kind, exact_coloring
 from .scheduler import StagePlan, solve_batch
 from .seeds import mix_seed
@@ -197,9 +197,14 @@ def cmd_stats(args) -> int:
     for path in paths:
         with open(path) as fh:
             try:
-                results.append(SolveResult.from_dict(json.load(fh)))
+                result = SolveResult.from_dict(json.load(fh))
+                # a result solved on another graph scores differently on this one
+                recomputed = coloring_accuracy(graph, result.coloring)
+                if abs(recomputed - result.coloring_accuracy) > 1e-12:
+                    raise ValueError("stored coloring_accuracy does not match the graph")
             except ValueError as exc:  # JSONDecodeError is a ValueError too
                 raise ValueError(f"{path}: {exc}") from exc
+        results.append(result)
     stats = aggregate(results, graph, baseline_kind=cut_baseline_kind(graph))
     stats.to_json(os.path.join(args.results_dir, "stats.json"))
     stats.to_csv(os.path.join(args.results_dir, "stats.csv"))

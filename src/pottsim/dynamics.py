@@ -47,11 +47,24 @@ TWO_PI = 2.0 * math.pi
 # at most this many bytes of float64, or one step's worth if that is larger.
 NOISE_BLOCK_BYTES = 128 * 1024
 
+# np.mod is fmod plus a sign fix. Done as three in-place calls the fix costs
+# about a third as much per element, but the calls' fixed cost makes it
+# slower below about this many elements (2-core Xeon, NumPy 2.4).
+WRAP_FMOD_MIN_SIZE = 320
+
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:
-    """Wrap angles into [0, 2*pi); values landing exactly on 2*pi map to 0."""
-    wrapped = np.mod(phases, TWO_PI)
-    # mod can return 2*pi for tiny negative inputs
+    """Wrap angles into [0, 2*pi); values landing exactly on 2*pi map to 0.
+
+    Bit-identical to np.mod(phases, 2*pi) on arrays of any size.
+    """
+    if phases.size < WRAP_FMOD_MIN_SIZE:
+        wrapped = np.mod(phases, TWO_PI)
+    else:
+        wrapped = np.fmod(phases, TWO_PI)
+        np.add(wrapped, TWO_PI, out=wrapped, where=wrapped < 0.0)
+        wrapped += 0.0  # -0.0 -> +0.0, as np.mod returns
+    # the sign fix can round up to 2*pi for tiny negative inputs
     wrapped[wrapped >= TWO_PI] = 0.0
     return wrapped
 

@@ -106,7 +106,8 @@ class SolveResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolveResult":
-        """Inverse of to_dict; ValueError on another schema or a missing key."""
+        """Inverse of to_dict; ValueError on another schema, a missing key
+        or a value of the wrong type."""
         if not isinstance(doc, dict):
             raise ValueError("a result must be a JSON object")
         if doc.get("schema_version") != cls.SCHEMA_VERSION:
@@ -117,6 +118,30 @@ class SolveResult:
         missing = [key for key in required if key not in doc]
         if missing:
             raise ValueError(f"missing result keys: {', '.join(missing)}")
+
+        def is_int(value):
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        def is_int_list(value):
+            return isinstance(value, list) and all(map(is_int, value))
+
+        def is_label_list(value):  # stored as int64
+            return is_int_list(value) and all(-(2**63) <= v < 2**63 for v in value)
+
+        def is_number(value):
+            return is_int(value) or isinstance(value, float)
+
+        kinds = {
+            "seed": (is_int, "an integer"),
+            "partition": (is_label_list, "a list of 64-bit integers"),
+            "coloring": (is_label_list, "a list of 64-bit integers"),
+            "cut_accuracy": (is_number, "a number"),
+            "coloring_accuracy": (is_number, "a number"),
+            "unlocked_stages": (is_int_list, "a list of integers"),
+        }
+        for key, (valid, kind) in kinds.items():
+            if key in doc and not valid(doc[key]):
+                raise ValueError(f"result key {key!r} must be {kind}")
         return cls(
             seed=doc["seed"],
             partition=np.asarray(doc["partition"], dtype=np.int64),

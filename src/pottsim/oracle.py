@@ -2,8 +2,13 @@
 
 exact_coloring is a DSATUR-ordered backtracking search: exact for the
 K-colorability decision, fast on the benchmark family, and the reference
-everything else is checked against. brute_force_maxcut enumerates
-partitions (n <= 24). The King's-graph closed forms give a constructive
+everything else is checked against. brute_force_maxcut searches all
+partitions (n <= 24) by meet in the middle: the free nodes split into two
+halves, and one matrix product scores every pairing of half-labelings in a
+block. It returns bit for bit what a plain edge-by-edge enumeration
+returns: exact integer scores need no more, and other weights re-score in
+edge order the masks that rounding could make the winner. The King's-graph
+closed forms give a constructive
 proper 4-coloring and the best-known (row-stripe) cut value. cut_baseline
 picks the max-cut normalizer that cut accuracies are reported against.
 """
@@ -127,34 +132,103 @@ def constructive_kings_coloring(side: int) -> list[int]:
     return [2 * (r % 2) + (c % 2) for r in range(side) for c in range(side)]
 
 
-def brute_force_maxcut(graph: Graph, chunk: int = 1 << 16) -> tuple[float, np.ndarray]:
+def _cuts_in_edge_order(graph: Graph, masks: np.ndarray) -> np.ndarray:
+    """Cut weight of each mask, summed over the edges in order from 0.0.
+
+    Mask bit b puts node b+1 on side 1; node 0 stays on side 0. This sum is
+    the value brute_force_maxcut reports, so its rounding is the reference
+    that the block scores are compared against.
+    """
+    cuts = np.zeros(len(masks))
+    for i, j, w in zip(graph.ei - 1, graph.ej - 1, graph.w):
+        bi = (masks >> i) & 1 if i >= 0 else 0
+        bj = (masks >> j) & 1
+        cuts += w * (bi != bj)
+    return cuts
+
+
+def _bit_table(width: int) -> np.ndarray:
+    """Row r holds the width low bits of r as 0.0/1.0."""
+    return ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1).astype(np.float64)
+
+
+def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
     """Exhaustive weighted max-cut for n <= 24.
 
-    Fixes node 0 on side 0 to halve the enumeration. Returns (best cut
-    weight, one maximizing 0/1 label vector).
+    Fixes node 0 on side 0, so mask bit b assigns node b+1 and 2^(n-1)
+    masks cover every cut. Returns (best cut weight, the 0/1 labels of the
+    smallest mask that reaches it), the weight summed over the edges in
+    order from 0.0, exactly as a plain edge-by-edge enumeration reports it.
+
+    The free nodes split into a low half (mask bits below `lo`) and a high
+    half. With x the 0/1 labels, the cut is sum_e w_e (x_i + x_j - 2 x_i x_j),
+    so with A and B the bit tables of the halves and Q the weights between
+    them, a block of 2^16 masks scores as
+    b_part[:, None] + a_part[None, :] - (B Q) @ A.T, one matrix product.
+    Every score is a sum of terms w_e and -2 w_e in some order, so:
+
+    - integer weights whose absolute sum S has 4 S < 2^53 score exactly,
+      and the first maximum of each block is the enumeration's;
+    - other weights score within `slack` of the edge-order sums (a bound on
+      the rounding of both sums), so every mask within `slack` of the block
+      maximum is scored again in edge order, and the best of those is the
+      enumeration's. Weights large enough to overflow set `slack` to inf,
+      which scores every mask again.
     """
     if graph.n > 24:
         raise ValueError(f"brute force capped at 24 nodes, got {graph.n}")
     if graph.n == 0:
         return 0.0, np.zeros(0, dtype=np.int64)
-    n_masks = 1 << max(graph.n - 1, 0)
+    free = graph.n - 1
+    lo = free // 2
+    a_bits, b_bits = _bit_table(lo), _bit_table(free - lo)
+
+    # node v >= 1 has mask bit v - 1; node 0 contributes no term
+    si, sj, w = graph.ei - 1, graph.ej - 1, graph.w
+    inner = si >= 0
+    linear = np.zeros(free)
+    np.add.at(linear, si[inner], w[inner])
+    np.add.at(linear, sj, w)
+    quad = np.zeros((free, free))
+    quad[si[inner], sj[inner]] = 2.0 * w[inner]
+    a_part = a_bits @ linear[:lo] - ((a_bits @ quad[:lo, :lo]) * a_bits).sum(axis=1)
+    b_part = b_bits @ linear[lo:] - ((b_bits @ quad[lo:, lo:]) * b_bits).sum(axis=1)
+    cross = b_bits @ quad[:lo, lo:].T
+
+    total = float(np.abs(w).sum())
+    if np.all(w == np.round(w)) and 4.0 * total < 2.0**53:
+        slack = 0.0
+    elif np.isfinite(8.0 * total):
+        # a sum of k terms with absolute sum T is off by at most
+        # gamma_k T, gamma_k = k u / (1 - k u); a score has at most 3E terms
+        # of absolute sum 4S, an edge-order sum E terms of absolute sum S.
+        # slack is twice the sum of the two, with room for its own rounding.
+        terms = 4 * graph.edge_count + 4
+        gamma = terms * 2.0**-53 / (1.0 - terms * 2.0**-53)
+        slack = 16.0 * total * gamma
+    else:
+        slack = math.inf
+
+    rows = max(1, (1 << 16) >> lo)
     best_cut, best_mask = -1.0, 0
-    # node 0 stays on side 0; mask bit b assigns node b+1
-    si = graph.ei - 1
-    sj = graph.ej - 1
-    for start in range(0, n_masks, chunk):
-        masks = np.arange(start, min(start + chunk, n_masks), dtype=np.int64)
-        cuts = np.zeros(len(masks))
-        for e in range(graph.edge_count):
-            bi = (masks >> si[e]) & 1 if si[e] >= 0 else 0
-            bj = (masks >> sj[e]) & 1
-            cuts += graph.w[e] * (bi != bj)
-        k = int(np.argmax(cuts))
-        if cuts[k] > best_cut:
-            best_cut, best_mask = float(cuts[k]), int(masks[k])
+    for h in range(0, len(b_bits), rows):
+        scores = b_part[h:h + rows, None] + a_part[None, :] - cross[h:h + rows] @ a_bits.T
+        first = h << lo
+        if slack == 0.0:
+            k = int(np.argmax(scores))
+            # + 0.0 turns a -0.0 that BLAS may return into the sum's 0.0
+            cut, mask = float(scores.flat[k]) + 0.0, first + k
+        else:
+            # "not below" keeps every mask when an infinite slack makes the
+            # threshold NaN
+            masks = first + np.flatnonzero(~(scores < scores.max() - slack))
+            cuts = _cuts_in_edge_order(graph, masks)
+            k = int(np.argmax(cuts))
+            cut, mask = float(cuts[k]), int(masks[k])
+        if cut > best_cut:
+            best_cut, best_mask = cut, mask
     labels = np.zeros(graph.n, dtype=np.int64)
-    for v in range(1, graph.n):
-        labels[v] = (best_mask >> (v - 1)) & 1
+    labels[1:] = (best_mask >> np.arange(free)) & 1
     return best_cut, labels
 
 

@@ -157,7 +157,8 @@ def solve_batch(
     each result is bit-identical to solving that seed alone. m = 1 is plain
     max-cut; m = 2 is the 4-coloring machine. Stages beyond the first reuse
     the t_relax / t_anneal2 / t_lock2 durations. Each result's wall_time is
-    its share of the batch's wall time.
+    its share of the batch's wall time. A graph with edges and a baseline
+    cut that is not positive raises ValueError before any integration.
     """
     if m < 1:
         raise ValueError("need at least one stage")
@@ -171,6 +172,11 @@ def solve_batch(
     params.check_stability(graph)
 
     t0 = _time.perf_counter()
+    if baseline_cut is None:
+        baseline_cut = cut_baseline(graph)[0]
+    if graph.edge_count and baseline_cut <= 0:
+        # fail before integrating: no cut accuracy exists against it
+        raise ValueError("baseline cut must be positive")
     rngs = [rng_for(seed) for seed in seeds]
     relax_params = params.with_noise(plan.sigma_relax)
 
@@ -209,8 +215,6 @@ def solve_batch(
             phases = window(phases, plan.t_relax, gate_off, shil_off, relax_params)
 
     coloring = quantize_phases(phases, 2**m)
-    if baseline_cut is None:
-        baseline_cut = cut_baseline(graph)[0]
     wall_time = (_time.perf_counter() - t0) / len(seeds)
     return [
         SolveResult(

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from pottsim.cli import RunConfig, main
-from pottsim.graph import kings_graph, load_graph, save_graph
+from pottsim.graph import Graph, kings_graph, load_graph, save_graph
 from pottsim.seeds import mix_seed
 
 
@@ -151,6 +151,27 @@ class TestStats:
         doc = json.loads((outdir / "stats.json").read_text())
         assert doc["cut_baseline_note"] == kind
 
+    @pytest.mark.parametrize("graph,rc", [
+        (kings_graph(3), 0),
+        (Graph(9, [(i, i + 1, 1.0) for i in range(8)]), 1),
+    ], ids=["same-graph", "path-of-same-size"])
+    def test_results_checked_against_graph(self, graph, rc, tmp_path, capsys):
+        solved_on = str(tmp_path / "k3.json")
+        save_graph(kings_graph(3), solved_on)
+        outdir = tmp_path / "r"
+        # seed 3: result 0 is proper on both graphs, result 1 scores 0.9 on
+        # kings(3) and 0.75 on the path
+        assert main(["solve", "-g", solved_on, "--iters", "3", "--seed", "3",
+                     "-o", str(outdir)]) == 0
+        path = str(tmp_path / "g.json")
+        save_graph(graph, path)
+        capsys.readouterr()
+        assert main(["stats", "-g", path, str(outdir)]) == rc
+        if rc:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "result_0001.json" in err
+
     def test_empty_dir(self, k4_path, tmp_path):
         assert main(["stats", "-g", k4_path, str(tmp_path)]) != 0
 
@@ -240,6 +261,21 @@ class TestBadInput:
         edit(doc)
         path.write_text(json.dumps(doc))
         self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path))
+
+    @pytest.mark.parametrize("key,value", [
+        ("partition", None), ("coloring", [0, "1", 2, 3]), ("coloring", [0, 1.5, 2, 3]),
+        ("coloring", [0, 2**70, 2, 3]),
+        ("seed", "7"), ("cut_accuracy", None), ("coloring_accuracy", "1.0"),
+        ("unlocked_stages", 2),
+    ])
+    def test_stats_result_value_of_wrong_type(self, key, value, k4_path, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        self._solve(k4_path, outdir)
+        path = outdir / "result_0001.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path), repr(key))
 
     def test_bench_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from pottsim.dynamics import (
+    WRAP_FMOD_MIN_SIZE,
     CouplingGate,
     DynamicsParams,
     PhaseState,
@@ -260,3 +263,14 @@ class TestWrap:
         assert np.all(out >= 0.0)
         assert np.all(out < TWO_PI)
         assert out[1] == 0.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    @example([-0.0, 0.0, -5e-324, 5e-324, TWO_PI, -TWO_PI, 1e20, -1e20,
+              math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0), -1e-18])
+    def test_bit_identical_to_mod(self, values):
+        # the values alone take the small-array path, repeated the fmod one
+        for size in (len(values), WRAP_FMOD_MIN_SIZE + len(values)):
+            phases = np.resize(np.array(values), size)
+            want = np.mod(phases, TWO_PI)
+            want[want >= TWO_PI] = 0.0
+            assert np.array_equal(wrap_phases(phases).view(np.int64), want.view(np.int64))

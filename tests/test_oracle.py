@@ -1,7 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsim.graph import Graph, kings_graph
 from pottsim.hamiltonian import potts_energy
@@ -139,6 +142,143 @@ class TestBruteForceMaxcut:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             brute_force_maxcut(complete_graph(25))
+
+
+def enumerate_maxcut(graph, chunk=1 << 16):
+    """Reference: the plain enumeration brute_force_maxcut must reproduce.
+
+    Node 0 stays on side 0; every mask's cut is summed over the edges in
+    order from 0.0, chunk by chunk, and the first strictly larger chunk
+    maximum wins, so the result is the smallest mask reaching the largest
+    edge-order sum.
+    """
+    if graph.n == 0:
+        return 0.0, np.zeros(0, dtype=np.int64)
+    n_masks = 1 << max(graph.n - 1, 0)
+    best_cut, best_mask = -1.0, 0
+    si = graph.ei - 1
+    sj = graph.ej - 1
+    for start in range(0, n_masks, chunk):
+        masks = np.arange(start, min(start + chunk, n_masks), dtype=np.int64)
+        cuts = np.zeros(len(masks))
+        for e in range(graph.edge_count):
+            bi = (masks >> si[e]) & 1 if si[e] >= 0 else 0
+            bj = (masks >> sj[e]) & 1
+            cuts += graph.w[e] * (bi != bj)
+        k = int(np.argmax(cuts))
+        if cuts[k] > best_cut:
+            best_cut, best_mask = float(cuts[k]), int(masks[k])
+    labels = np.zeros(graph.n, dtype=np.int64)
+    for v in range(1, graph.n):
+        labels[v] = (best_mask >> (v - 1)) & 1
+    return best_cut, labels
+
+
+def assert_same_as_enumeration(graph):
+    value, labels = brute_force_maxcut(graph)
+    want_value, want_labels = enumerate_maxcut(graph)
+    assert type(value) is float
+    assert np.float64(value).view(np.int64) == np.float64(want_value).view(np.int64)
+    assert labels.dtype == want_labels.dtype
+    assert labels.tolist() == want_labels.tolist()
+
+
+def planar_24_pairs():
+    """A 4 x 6 grid with one diagonal per cell: planar, 24 nodes, 53 edges."""
+    pairs = []
+    for r in range(4):
+        for c in range(6):
+            v = 6 * r + c
+            if c < 5:
+                pairs.append((v, v + 1))
+            if r < 3:
+                pairs.append((v, v + 6))
+            if r < 3 and c < 5:
+                pairs.append((v, v + 7))
+    return pairs
+
+
+WEIGHTS = {
+    "integer": st.integers(-3, 5).map(float),
+    "float": st.floats(0.01, 10.0),
+    "signed": st.floats(-10.0, 10.0, allow_nan=False),
+    "tenths": st.sampled_from([0.1, 0.2, 0.3, -0.1, 0.7]),
+}
+
+
+@st.composite
+def weighted_graphs(draw, weights):
+    n = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, [(i, j, draw(weights)) for i, j in chosen])
+
+
+class TestBruteForceMatchesEnumeration:
+    """brute_force_maxcut returns the enumeration's (value, labels) bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_random_graphs(self, kind):
+        @settings(max_examples=60, deadline=None)
+        @given(weighted_graphs(WEIGHTS[kind]))
+        def check(graph):
+            assert_same_as_enumeration(graph)
+
+        check()
+
+    @pytest.mark.parametrize("weights", [
+        (0.1, 0.2, 0.3), (0.3, 0.2, 0.1), (0.2, 0.1, 0.3), (0.1, 0.2, -0.3), (1 / 3, 1 / 3, 2 / 3),
+    ])
+    def test_triangles_tied_in_real_arithmetic(self, weights):
+        # 0.1 + 0.2 and 0.3 are equal cuts in the reals but not in floats
+        edges = [(0, 1), (1, 2), (0, 2)]
+        assert_same_as_enumeration(Graph(3, [(i, j, w) for (i, j), w in zip(edges, weights)]))
+        # the same triangle hung off a tied 4-cycle
+        square = [(3, 4, 0.1), (4, 5, 0.1), (5, 6, 0.1), (3, 6, 0.1), (0, 3, 0.2)]
+        graph = Graph(7, [(i, j, w) for (i, j), w in zip(edges, weights)] + square)
+        assert_same_as_enumeration(graph)
+
+    # K18 spans two blocks of 2^16 masks, with optima tied across them
+    @pytest.mark.parametrize("n", [*range(4, 11), 18])
+    @pytest.mark.parametrize("weight", [1.0, 0.1, -1.0])
+    def test_complete_graphs_with_many_tied_optima(self, n, weight):
+        graph = Graph(n, [(i, j, weight) for i in range(n) for j in range(i + 1, n)])
+        assert_same_as_enumeration(graph)
+
+    @pytest.mark.parametrize("graph", [
+        Graph(0, []), Graph(1, []), Graph(2, []), Graph(2, [(0, 1, -2.5)]), Graph(7, []),
+    ], ids=["n0", "n1", "n2-edgeless", "n2-negative", "edgeless"])
+    def test_tiny_and_edgeless(self, graph):
+        assert_same_as_enumeration(graph)
+
+    def test_integer_weights_beyond_exact_scores(self):
+        # 4 * sum|w| >= 2^53: integer weights no longer score exactly
+        big = 2.0**51
+        graph = Graph(6, [(0, 1, big), (1, 2, 3.0), (2, 3, -big), (3, 4, 5.0), (0, 5, 1.0)])
+        assert_same_as_enumeration(graph)
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unit", "signed"])
+    def test_planar_24_nodes(self, signed):
+        pairs = planar_24_pairs()
+        rng = np.random.default_rng(24)
+        weights = rng.normal(size=len(pairs)).tolist() if signed else [1.0] * len(pairs)
+        assert_same_as_enumeration(Graph(24, [(i, j, w) for (i, j), w in zip(pairs, weights)]))
+
+    def test_k24_no_slower_than_enumeration(self):
+        graph = complete_graph(24)
+        t0 = time.perf_counter()
+        value, labels = brute_force_maxcut(graph)
+        elapsed = time.perf_counter() - t0
+        # the enumeration's cost per chunk of 2^16 masks is proportional to
+        # the edge count: K17 is one chunk with 136 edges, K24 is 128 chunks
+        # with 276 edges each
+        t0 = time.perf_counter()
+        enumerate_maxcut(complete_graph(17))
+        enumeration = (time.perf_counter() - t0) * 128 * 276 / 136
+        assert value == 144.0
+        # the smallest of the 1.35 M optimal masks puts nodes 1-12 on side 1
+        assert labels.tolist() == [0] + [1] * 12 + [0] * 11
+        assert elapsed < enumeration
 
 
 class TestStripeCutValue:

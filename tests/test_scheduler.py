@@ -250,6 +250,17 @@ class TestCutBaseline:
     def test_value_and_kind(self, graph, value, kind):
         assert _resolve_cut_baseline(graph) == (value, kind)
 
+    @pytest.mark.parametrize("graph,baseline", [
+        (Graph(2, [(0, 1, -1.0)]), None),
+        (EDGE, 0.0),
+    ], ids=["negative-edge", "zero-baseline"])
+    def test_non_positive_baseline_raises_before_integrating(self, graph, baseline, monkeypatch):
+        calls = []
+        monkeypatch.setattr("pottsim.scheduler.integrate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="baseline cut must be positive"):
+            solve_kcoloring(graph, 1, seed=0, baseline_cut=baseline)
+        assert calls == []
+
     def test_upper_bound_counts_only_positive_weights(self):
         graph = Graph(30, [(i, i + 1, 1.0 if i % 2 == 0 else -1.0) for i in range(29)])
         assert cut_baseline(graph) == (15.0, "upper-bound")
