@@ -49,7 +49,9 @@ NOISE_BLOCK_BYTES = 128 * 1024
 
 # np.mod is fmod plus a sign fix. Done as three in-place calls the fix costs
 # about a third as much per element, but the calls' fixed cost makes it
-# slower below about this many elements (2-core Xeon, NumPy 2.4).
+# slower below about this many elements (2-core Xeon, NumPy 2.4). End to
+# end, fmod makes 40 x 49 and 3 x 2116 phase arrays run about 9 % faster,
+# and fmod on arrays of 64-96 elements about 15 % slower.
 WRAP_FMOD_MIN_SIZE = 320
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ def cut_accuracy(graph: Graph, partition, baseline_cut: float) -> float:
     """
     if graph.edge_count == 0:
         return 1.0  # any partition of an edgeless graph is optimal
-    if baseline_cut <= 0:
+    if not baseline_cut > 0:  # NaN is not positive either
         raise ValueError("baseline cut must be positive")
     return cut_value(graph, partition) / baseline_cut
 
@@ -125,18 +126,21 @@ class SolveResult:
         def is_int_list(value):
             return isinstance(value, list) and all(map(is_int, value))
 
-        def is_label_list(value):  # stored as int64
-            return is_int_list(value) and all(-(2**63) <= v < 2**63 for v in value)
+        def is_int64(value):
+            return is_int(value) and -(2**63) <= value < 2**63
 
-        def is_number(value):
-            return is_int(value) or isinstance(value, float)
+        def is_label_list(value):  # stored as int64
+            return isinstance(value, list) and all(map(is_int64, value))
+
+        def is_number(value):  # json.load reads NaN and Infinity as floats
+            return is_int64(value) or (isinstance(value, float) and math.isfinite(value))
 
         kinds = {
             "seed": (is_int, "an integer"),
             "partition": (is_label_list, "a list of 64-bit integers"),
             "coloring": (is_label_list, "a list of 64-bit integers"),
-            "cut_accuracy": (is_number, "a number"),
-            "coloring_accuracy": (is_number, "a number"),
+            "cut_accuracy": (is_number, "a finite number"),
+            "coloring_accuracy": (is_number, "a finite number"),
             "unlocked_stages": (is_int_list, "a list of integers"),
         }
         for key, (valid, kind) in kinds.items():

@@ -3,14 +3,14 @@
 exact_coloring is a DSATUR-ordered backtracking search: exact for the
 K-colorability decision, fast on the benchmark family, and the reference
 everything else is checked against. brute_force_maxcut searches all
-partitions (n <= 24) by meet in the middle: the free nodes split into two
+partitions (n <= 24) and returns bit for bit what a plain edge-by-edge
+enumeration returns. For integer weights, whose scores are exact in any
+order, it works by meet in the middle: the free nodes split into two
 halves, and one matrix product scores every pairing of half-labelings in a
-block. It returns bit for bit what a plain edge-by-edge enumeration
-returns: exact integer scores need no more, and other weights re-score in
-edge order the masks that rounding could make the winner. The King's-graph
-closed forms give a constructive
-proper 4-coloring and the best-known (row-stripe) cut value. cut_baseline
-picks the max-cut normalizer that cut accuracies are reported against.
+block. Other weights are summed edge by edge. The King's-graph closed
+forms give a constructive proper 4-coloring and the best-known (row-stripe)
+cut value. cut_baseline picks the max-cut normalizer that cut accuracies
+are reported against.
 """
 
 from __future__ import annotations
@@ -132,19 +132,21 @@ def constructive_kings_coloring(side: int) -> list[int]:
     return [2 * (r % 2) + (c % 2) for r in range(side) for c in range(side)]
 
 
-def _cuts_in_edge_order(graph: Graph, masks: np.ndarray) -> np.ndarray:
-    """Cut weight of each mask, summed over the edges in order from 0.0.
+def _edge_order_blocks(graph: Graph):
+    """Yield (first mask, cuts of the next 2^16 masks), each cut summed over
+    the edges in order from 0.0: the value brute_force_maxcut reports.
 
-    Mask bit b puts node b+1 on side 1; node 0 stays on side 0. This sum is
-    the value brute_force_maxcut reports, so its rounding is the reference
-    that the block scores are compared against.
+    Mask bit b puts node b+1 on side 1; node 0 stays on side 0.
     """
-    cuts = np.zeros(len(masks))
-    for i, j, w in zip(graph.ei - 1, graph.ej - 1, graph.w):
-        bi = (masks >> i) & 1 if i >= 0 else 0
-        bj = (masks >> j) & 1
-        cuts += w * (bi != bj)
-    return cuts
+    n_masks = 1 << (graph.n - 1)
+    for first in range(0, n_masks, 1 << 16):
+        masks = np.arange(first, min(first + (1 << 16), n_masks))
+        cuts = np.zeros(len(masks))
+        for i, j, w in zip(graph.ei - 1, graph.ej - 1, graph.w):
+            bi = (masks >> i) & 1 if i >= 0 else 0
+            bj = (masks >> j) & 1
+            cuts += w * (bi != bj)
+        yield first, cuts
 
 
 def _bit_table(width: int) -> np.ndarray:
@@ -152,37 +154,19 @@ def _bit_table(width: int) -> np.ndarray:
     return ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1).astype(np.float64)
 
 
-def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
-    """Exhaustive weighted max-cut for n <= 24.
-
-    Fixes node 0 on side 0, so mask bit b assigns node b+1 and 2^(n-1)
-    masks cover every cut. Returns (best cut weight, the 0/1 labels of the
-    smallest mask that reaches it), the weight summed over the edges in
-    order from 0.0, exactly as a plain edge-by-edge enumeration reports it.
+def _matrix_blocks(graph: Graph):
+    """Yield (first mask, cuts of the next 2^16 masks) by meet in the middle.
 
     The free nodes split into a low half (mask bits below `lo`) and a high
-    half. With x the 0/1 labels, the cut is sum_e w_e (x_i + x_j - 2 x_i x_j),
+    half. With x the 0/1 labels the cut is sum_e w_e (x_i + x_j - 2 x_i x_j),
     so with A and B the bit tables of the halves and Q the weights between
-    them, a block of 2^16 masks scores as
-    b_part[:, None] + a_part[None, :] - (B Q) @ A.T, one matrix product.
-    Every score is a sum of terms w_e and -2 w_e in some order, so:
-
-    - integer weights whose absolute sum S has 4 S < 2^53 score exactly,
-      and the first maximum of each block is the enumeration's;
-    - other weights score within `slack` of the edge-order sums (a bound on
-      the rounding of both sums), so every mask within `slack` of the block
-      maximum is scored again in edge order, and the best of those is the
-      enumeration's. Weights large enough to overflow set `slack` to inf,
-      which scores every mask again.
+    them, a block scores as b_part[:, None] + a_part[None, :] - (B Q) @ A.T,
+    one matrix product. Row r, column c is mask first + r * 2^lo + c, so the
+    flat index of a score is its offset from the block's first mask.
     """
-    if graph.n > 24:
-        raise ValueError(f"brute force capped at 24 nodes, got {graph.n}")
-    if graph.n == 0:
-        return 0.0, np.zeros(0, dtype=np.int64)
     free = graph.n - 1
     lo = free // 2
     a_bits, b_bits = _bit_table(lo), _bit_table(free - lo)
-
     # node v >= 1 has mask bit v - 1; node 0 contributes no term
     si, sj, w = graph.ei - 1, graph.ej - 1, graph.w
     inner = si >= 0
@@ -194,41 +178,40 @@ def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
     a_part = a_bits @ linear[:lo] - ((a_bits @ quad[:lo, :lo]) * a_bits).sum(axis=1)
     b_part = b_bits @ linear[lo:] - ((b_bits @ quad[lo:, lo:]) * b_bits).sum(axis=1)
     cross = b_bits @ quad[:lo, lo:].T
-
-    total = float(np.abs(w).sum())
-    if np.all(w == np.round(w)) and 4.0 * total < 2.0**53:
-        slack = 0.0
-    elif np.isfinite(8.0 * total):
-        # a sum of k terms with absolute sum T is off by at most
-        # gamma_k T, gamma_k = k u / (1 - k u); a score has at most 3E terms
-        # of absolute sum 4S, an edge-order sum E terms of absolute sum S.
-        # slack is twice the sum of the two, with room for its own rounding.
-        terms = 4 * graph.edge_count + 4
-        gamma = terms * 2.0**-53 / (1.0 - terms * 2.0**-53)
-        slack = 16.0 * total * gamma
-    else:
-        slack = math.inf
-
     rows = max(1, (1 << 16) >> lo)
-    best_cut, best_mask = -1.0, 0
     for h in range(0, len(b_bits), rows):
-        scores = b_part[h:h + rows, None] + a_part[None, :] - cross[h:h + rows] @ a_bits.T
-        first = h << lo
-        if slack == 0.0:
-            k = int(np.argmax(scores))
-            # + 0.0 turns a -0.0 that BLAS may return into the sum's 0.0
-            cut, mask = float(scores.flat[k]) + 0.0, first + k
-        else:
-            # "not below" keeps every mask when an infinite slack makes the
-            # threshold NaN
-            masks = first + np.flatnonzero(~(scores < scores.max() - slack))
-            cuts = _cuts_in_edge_order(graph, masks)
-            k = int(np.argmax(cuts))
-            cut, mask = float(cuts[k]), int(masks[k])
+        yield h << lo, b_part[h:h + rows, None] + a_part[None, :] - cross[h:h + rows] @ a_bits.T
+
+
+def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
+    """Exhaustive weighted max-cut for n <= 24.
+
+    Fixes node 0 on side 0, so mask bit b assigns node b+1 and 2^(n-1)
+    masks cover every cut. Returns (best cut weight, the 0/1 labels of the
+    smallest mask that reaches it), the weight summed over the edges in
+    order from 0.0, exactly as a plain edge-by-edge enumeration reports it.
+
+    Integer weights whose absolute sum S has 4 S < 2^53 score by meet in
+    the middle (_matrix_blocks). Every such score is a sum of terms w_e and
+    -2 w_e whose partial sums stay below 2^53 in magnitude, so it is exact
+    in any order and equals the edge-order sum, and each block's first
+    maximum is the enumeration's. Other weights are summed edge by edge.
+    """
+    if graph.n > 24:
+        raise ValueError(f"brute force capped at 24 nodes, got {graph.n}")
+    if graph.n == 0:
+        return 0.0, np.zeros(0, dtype=np.int64)
+    w = graph.w
+    exact = bool(np.all(w == np.round(w))) and 4.0 * float(np.abs(w).sum()) < 2.0**53
+    best_cut, best_mask = -1.0, 0
+    for first, cuts in (_matrix_blocks if exact else _edge_order_blocks)(graph):
+        k = int(np.argmax(cuts))
+        # + 0.0 turns a -0.0 that BLAS may return into the sum's 0.0
+        cut = float(cuts.flat[k]) + 0.0
         if cut > best_cut:
-            best_cut, best_mask = cut, mask
+            best_cut, best_mask = cut, first + k
     labels = np.zeros(graph.n, dtype=np.int64)
-    labels[1:] = (best_mask >> np.arange(free)) & 1
+    labels[1:] = (best_mask >> np.arange(graph.n - 1)) & 1
     return best_cut, labels
 
 

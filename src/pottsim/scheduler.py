@@ -174,7 +174,7 @@ def solve_batch(
     t0 = _time.perf_counter()
     if baseline_cut is None:
         baseline_cut = cut_baseline(graph)[0]
-    if graph.edge_count and baseline_cut <= 0:
+    if graph.edge_count and not baseline_cut > 0:  # NaN is not positive either
         # fail before integrating: no cut accuracy exists against it
         raise ValueError("baseline cut must be positive")
     rngs = [rng_for(seed) for seed in seeds]

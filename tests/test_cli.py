@@ -266,6 +266,8 @@ class TestBadInput:
         ("partition", None), ("coloring", [0, "1", 2, 3]), ("coloring", [0, 1.5, 2, 3]),
         ("coloring", [0, 2**70, 2, 3]),
         ("seed", "7"), ("cut_accuracy", None), ("coloring_accuracy", "1.0"),
+        ("coloring_accuracy", float("nan")), ("cut_accuracy", float("inf")),
+        pytest.param("coloring_accuracy", 10**400, id="coloring_accuracy-int-beyond-float"),
         ("unlocked_stages", 2),
     ])
     def test_stats_result_value_of_wrong_type(self, key, value, k4_path, tmp_path, capsys):

@@ -256,6 +256,9 @@ class TestBruteForceMatchesEnumeration:
         big = 2.0**51
         graph = Graph(6, [(0, 1, big), (1, 2, 3.0), (2, 3, -big), (3, 4, 5.0), (0, 5, 1.0)])
         assert_same_as_enumeration(graph)
+        # a cut whose sum rounds differently in another order
+        graph = Graph(4, [(1, 2, 2.0**53 + 2), (0, 1, 1.0), (0, 3, 2.0**53), (2, 3, 2.0**52)])
+        assert_same_as_enumeration(graph)
 
     @pytest.mark.parametrize("signed", [False, True], ids=["unit", "signed"])
     def test_planar_24_nodes(self, signed):

@@ -253,7 +253,8 @@ class TestCutBaseline:
     @pytest.mark.parametrize("graph,baseline", [
         (Graph(2, [(0, 1, -1.0)]), None),
         (EDGE, 0.0),
-    ], ids=["negative-edge", "zero-baseline"])
+        (EDGE, float("nan")),
+    ], ids=["negative-edge", "zero-baseline", "nan-baseline"])
     def test_non_positive_baseline_raises_before_integrating(self, graph, baseline, monkeypatch):
         calls = []
         monkeypatch.setattr("pottsim.scheduler.integrate", lambda *args: calls.append(args))
