@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 
 from .dynamics import DynamicsParams
 from .graph import kings_graph, load_graph, save_graph
-from .metrics import RunStats, SolveResult, aggregate, coloring_accuracy
-from .oracle import OracleTimeout, cut_baseline, cut_baseline_kind, exact_coloring
+from .metrics import RunStats, SolveResult, aggregate, coloring_accuracy, cut_accuracy
+from .oracle import OracleTimeout, cut_baseline, exact_coloring
 from .scheduler import StagePlan, solve_batch
 from .seeds import mix_seed
 
@@ -193,19 +193,27 @@ def cmd_stats(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.results_dir, "result_*.json")))
     if not paths:
         raise ValueError(f"no result_*.json files in {args.results_dir}")
-    results = []
+    baseline, baseline_kind = cut_baseline(graph)
+    results, mismatches = [], []
     for path in paths:
         with open(path) as fh:
             try:
                 result = SolveResult.from_dict(json.load(fh))
                 # a result solved on another graph scores differently on this one
-                recomputed = coloring_accuracy(graph, result.coloring)
-                if abs(recomputed - result.coloring_accuracy) > 1e-12:
-                    raise ValueError("stored coloring_accuracy does not match the graph")
+                recomputed = {
+                    "coloring_accuracy": coloring_accuracy(graph, result.coloring),
+                    "cut_accuracy": cut_accuracy(graph, result.partition, baseline),
+                }
             except ValueError as exc:  # JSONDecodeError is a ValueError too
                 raise ValueError(f"{path}: {exc}") from exc
+        wrong = [key for key, value in recomputed.items()
+                 if abs(value - getattr(result, key)) > 1e-12]
+        if wrong:
+            mismatches.append(f"{path}: stored values do not match the graph: {', '.join(wrong)}")
         results.append(result)
-    stats = aggregate(results, graph, baseline_kind=cut_baseline_kind(graph))
+    if mismatches:
+        raise ValueError("\n".join(mismatches))
+    stats = aggregate(results, graph, baseline_kind=baseline_kind)
     stats.to_json(os.path.join(args.results_dir, "stats.json"))
     stats.to_csv(os.path.join(args.results_dir, "stats.csv"))
     print(

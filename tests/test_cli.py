@@ -279,6 +279,15 @@ class TestBadInput:
         path.write_text(json.dumps(doc))
         self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path), repr(key))
 
+    def test_stats_edited_cut_accuracy(self, k4_path, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        self._solve(k4_path, outdir)
+        path = outdir / "result_0001.json"
+        doc = json.loads(path.read_text())
+        doc["cut_accuracy"] = 0.123
+        path.write_text(json.dumps(doc))
+        self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path), "cut_accuracy")
+
     def test_bench_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")

@@ -110,6 +110,15 @@ def graphs(draw, max_n=12):
     return Graph(n, [(i, j, 1.0) for i, j in chosen])
 
 
+@st.composite
+def weighted_graphs(draw):
+    """graphs() with any finite weights, each edge given in either orientation."""
+    g = draw(graphs())
+    weight = st.floats(allow_nan=False, allow_infinity=False)
+    return Graph(g.n, [(j, i, draw(weight)) if draw(st.booleans()) else (i, j, draw(weight))
+                       for i, j, _ in g.edges])
+
+
 class TestFileIO:
     def test_smallest_dimacs(self, tmp_path):
         path = tmp_path / "g.col"
@@ -170,6 +179,22 @@ class TestFileIO:
             path = tmp / f"g.{ext}"
             save_graph(g, path, fmt)
             assert load_graph(path, fmt) == g
+
+    @settings(max_examples=50)
+    @given(weighted_graphs())
+    def test_round_trip_both_formats(self, tmp_path_factory, g):
+        # JSON keeps every weight bit for bit; DIMACS holds the unit-weight copy
+        tmp = tmp_path_factory.mktemp("roundtrip")
+        unit = Graph(g.n, [(i, j, 1.0) for i, j, _ in g.edges])
+        for graph, fmt, ext in ((g, "json_edges", "json"), (unit, "dimacs_col", "col")):
+            path = tmp / f"g.{ext}"
+            save_graph(graph, path)
+            loaded = load_graph(path)
+            assert loaded == graph
+            assert np.array_equal(loaded.w.view(np.int64), graph.w.view(np.int64))
+        if np.any(g.w != 1.0):
+            with pytest.raises(ValueError):
+                save_graph(g, tmp / "w.col")
 
     def test_weighted_json_round_trip(self, tmp_path):
         g = Graph(3, [(0, 1, 2.5), (1, 2, -1.0)])

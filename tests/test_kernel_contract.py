@@ -1,0 +1,217 @@
+"""Tolerance contract for the drift kernel.
+
+dynamics.integrate evaluates both drift sines through the half-angle
+identity sin x = 2t / (1 + t^2), t = tan(x / 2), with the constants folded
+into per-edge and per-node weights. That changes floating-point rounding,
+so this file keeps the np.sin kernel it replaced as reference_integrate and
+pins what the change must preserve: the sine itself to within 4.5e-16, one
+noiseless step to within 1e-14, bit-identical rows regardless of batch
+size, and the same accuracy distribution over many seeds.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pottsim import scheduler
+from pottsim.dynamics import (
+    NOISE_BLOCK_BYTES,
+    CouplingGate,
+    DynamicsParams,
+    PhaseState,
+    ShilConfig,
+    half_angle_sine,
+    integrate,
+    wrap_phases,
+)
+from pottsim.graph import Graph, kings_graph
+
+TWO_PI = 2 * math.pi
+SINE_TOLERANCE = 4.5e-16  # about 2 ulp of 1; measured worst case 2.2e-16
+STEP_TOLERANCE = 1e-14
+
+
+def reference_integrate(phases, n_steps, graph, gate, shil, params, rngs=None, xi=None,
+                        recorder=None, time=0.0):
+    """Reference: the np.sin kernel integrate must stay close to.
+
+    Each step adds dt * (coupling * sum_j w_ij sin(theta_i - theta_j)
+    - locking * e_i * sin(2 (theta_i - phi_i))), then the noise, then wraps.
+    """
+    phases = np.array(phases, dtype=np.float64, ndmin=2)
+    batch, n = phases.shape
+    iteration, edge = np.nonzero(np.broadcast_to(gate.active, (batch, graph.edge_count)))
+    ei = graph.ei[edge] + n * iteration
+    ej = graph.ej[edge] + n * iteration
+    w = graph.w[edge]
+    locking = params.locking > 0.0 and bool(np.any(shil.enabled))
+    all_locked = bool(np.all(shil.enabled))
+    noisy = params.noise > 0.0
+    if noisy:
+        if xi is not None:
+            noise_buf, block = xi, max(n_steps, 1)
+        elif rngs is None:
+            raise ValueError("noise > 0 requires an rng or explicit xi")
+        else:
+            block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * batch * n)))
+            noise_buf = np.empty((batch, block, n))
+    noise_scale = params.noise * math.sqrt(params.dt)
+    for k in range(n_steps):
+        if recorder is not None:
+            recorder.record(PhaseState(phases[0], time), k)
+        drift = None
+        if len(w):
+            flat = phases.reshape(-1)
+            s = w * np.sin(flat[ei] - flat[ej])
+            torque = np.bincount(ei, weights=s, minlength=batch * n)
+            torque -= np.bincount(ej, weights=s, minlength=batch * n)
+            drift = (params.coupling * torque).reshape(batch, n)
+        if locking:
+            lock = np.sin(2.0 * (phases - shil.select))
+            if not all_locked:
+                lock = np.where(shil.enabled, lock, 0.0)
+            if drift is None:
+                drift = np.zeros((batch, n))
+            drift -= params.locking * lock
+        if drift is not None:
+            phases += params.dt * drift
+        if noisy:
+            j = k % block
+            if j == 0 and xi is None:
+                c = min(block, n_steps - k)
+                for b, rng in enumerate(rngs):
+                    rng.standard_normal(out=noise_buf[b, :c])
+            phases += noise_scale * noise_buf[:, j]
+        phases = wrap_phases(phases)
+        time += params.dt
+    if recorder is not None:
+        recorder.record(PhaseState(phases[0], time), n_steps)
+    return phases, time
+
+
+def angle_gap(a, b):
+    """|a - b| modulo 2*pi, in [0, pi]."""
+    d = np.mod(a - b, TWO_PI)
+    return np.minimum(d, TWO_PI - d)
+
+
+class TestHalfAngleSine:
+    PINNED = [0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI,
+              math.nextafter(math.pi, 0.0), 5e-324, -5e-324]
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
+    @example(PINNED)
+    def test_within_tolerance_of_sin(self, values):
+        x = np.array(values)
+        got = half_angle_sine(0.5 * x, 2.0)
+        assert np.all(np.abs(got - np.sin(x)) <= SINE_TOLERANCE)
+
+    def test_pinned_values(self):
+        x = np.array(self.PINNED)
+        got = half_angle_sine(0.5 * x, 2.0)
+        want = np.sin(x)
+        # equal at 0, -0.0 (sign kept), +-pi and +-2*pi
+        assert np.array_equal(got[:6].view(np.int64), want[:6].view(np.int64))
+        assert np.all(np.abs(got - want) <= SINE_TOLERANCE)
+
+    @pytest.mark.parametrize("bound", [TWO_PI, 2 * TWO_PI, 50.0, 1e3])
+    def test_dense_sample(self, bound):
+        x = np.random.default_rng(0).uniform(-bound, bound, 200_000)
+        got = half_angle_sine(0.5 * x, 2.0)
+        assert np.max(np.abs(got - np.sin(x))) <= SINE_TOLERANCE
+
+    def test_scale_broadcasts(self):
+        half = np.array([[0.1, 0.2], [0.3, 0.4]])
+        got = half_angle_sine(half, np.array([2.0, 6.0]))
+        want = np.array([1.0, 3.0]) * np.sin(2 * half)
+        assert np.allclose(got, want, rtol=0, atol=4 * SINE_TOLERANCE)
+
+
+@st.composite
+def windows(draw):
+    """A graph of at most 12 nodes with random weights, a (B, E) gate and (B, n) SHIL."""
+    n = draw(st.integers(1, 12))
+    batch = draw(st.sampled_from([1, 3]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = (draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+              if pairs else [])
+    weights = st.floats(-2.0, 2.0, allow_subnormal=False)
+    graph = Graph(n, [(i, j, draw(weights)) for i, j in chosen])
+    bools = st.booleans()
+    gate = np.array(draw(st.lists(bools, min_size=batch * len(chosen),
+                                  max_size=batch * len(chosen)))).reshape(batch, len(chosen))
+    enabled = np.array(draw(st.lists(bools, min_size=batch * n, max_size=batch * n)))
+    lock_phases = st.sampled_from([0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4])
+    select = np.array(draw(st.lists(lock_phases, min_size=batch * n, max_size=batch * n)))
+    phases = np.array(draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True),
+                                    min_size=batch * n, max_size=batch * n)))
+    return (graph, phases.reshape(batch, n), CouplingGate(gate.astype(bool)),
+            ShilConfig(enabled.reshape(batch, n), select.reshape(batch, n)))
+
+
+class TestOneStep:
+    @settings(max_examples=200, deadline=None)
+    @given(windows(), st.sampled_from([0.0, 2.5]))
+    def test_noiseless_step_matches_reference(self, window, locking):
+        graph, phases, gate, shil = window
+        params = DynamicsParams(coupling=1.0, locking=locking, noise=0.0, dt=0.01)
+        got, t = integrate(phases, 1, graph, gate, shil, params)
+        want, t_ref = reference_integrate(phases, 1, graph, gate, shil, params)
+        assert t == t_ref
+        assert np.all(angle_gap(got, want) <= STEP_TOLERANCE)
+
+    def test_select_ignored_where_injection_off(self):
+        # select is meaningful only where enabled, so any value there is inert
+        graph = kings_graph(2)
+        phases = np.array([0.3, 1.2, 2.5, 4.0])
+        enabled = np.array([True, False, True, False])
+        gate = CouplingGate.all_on(graph)
+        params = DynamicsParams(noise=0.0)
+        want, _ = integrate(phases, 3, graph, gate, ShilConfig(enabled, np.zeros(4)), params)
+        select = np.array([0.0, np.nan, 0.0, np.inf])
+        got, _ = integrate(phases, 3, graph, gate, ShilConfig(enabled, select), params)
+        assert np.array_equal(got, want)
+
+
+class TestRowIndependence:
+    @pytest.mark.parametrize("side,n_steps", [(3, 50), (7, 20)])
+    def test_rows_equal_single_row_runs(self, side, n_steps):
+        graph = kings_graph(side)
+        n, batch = graph.n, 3
+        rng = np.random.default_rng(side)
+        phases = rng.uniform(0.0, TWO_PI, (batch, n))
+        gate = CouplingGate(rng.random((batch, graph.edge_count)) < 0.7)
+        shil = ShilConfig(rng.random((batch, n)) < 0.8,
+                          rng.choice([0.0, math.pi / 2], (batch, n)))
+        xi = rng.standard_normal((batch, n_steps, n))
+        params = DynamicsParams()
+        together, _ = integrate(phases, n_steps, graph, gate, shil, params, xi=xi)
+        for b in range(batch):
+            alone, _ = integrate(phases[b:b + 1], n_steps, graph,
+                                 CouplingGate(gate.active[b]),
+                                 ShilConfig(shil.enabled[b], shil.select[b]),
+                                 params, xi=xi[b:b + 1])
+            assert np.array_equal(together[b].view(np.int64), alone[0].view(np.int64))
+
+
+class TestStatisticalEquivalence:
+    """Mean accuracies of the kernel lie within 3 standard errors of the reference's.
+
+    The standard errors come from the reference kernel's spread over seeds.
+    """
+
+    @pytest.mark.parametrize("side,n_seeds", [(7, 200), (20, 40)])
+    def test_mean_accuracies(self, side, n_seeds, monkeypatch):
+        graph = kings_graph(side)
+        seeds = range(n_seeds)
+        new = scheduler.solve_batch(graph, 2, seeds=seeds)
+        monkeypatch.setattr(scheduler, "integrate", reference_integrate)
+        ref = scheduler.solve_batch(graph, 2, seeds=seeds)
+        for key in ("coloring_accuracy", "cut_accuracy"):
+            ref_values = np.array([getattr(r, key) for r in ref])
+            new_mean = np.mean([getattr(r, key) for r in new])
+            stderr = np.std(ref_values, ddof=1) / math.sqrt(n_seeds)
+            assert abs(new_mean - ref_values.mean()) <= 3 * stderr, key

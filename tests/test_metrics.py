@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pottsim.graph import Graph, kings_graph
 from pottsim.hamiltonian import potts_energy
@@ -125,6 +127,20 @@ class TestHamming:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             hamming([0], [0, 1])
+
+    @given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=30),
+        st.integers(0, k - 1),
+    )))
+    def test_rotation_bounds(self, case):
+        k, pairs, r = case
+        c1 = np.array([a for a, _ in pairs], dtype=np.int64)
+        c2 = np.array([b for _, b in pairs], dtype=np.int64)
+        rotated = hamming_min_rotation(c1, c2, k)
+        assert 0 <= rotated <= hamming(c1, c2) <= len(pairs)
+        # relabelling c2 by a rotation does not change the minimum
+        assert hamming_min_rotation(c1, (c2 + r) % k, k) == rotated
 
 
 class TestAggregate:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pottsim.dynamics import DynamicsParams, PhaseState, step
 from pottsim.graph import Graph, kings_graph
@@ -50,6 +52,16 @@ class TestQuantizePhase:
         for k in (2, 4, 8):
             vec = quantize_phases(thetas, k)
             assert all(vec[i] == quantize_phase(t, k) for i, t in enumerate(thetas))
+
+
+    @given(st.floats(-100.0, 100.0), st.integers(-50, 50), st.sampled_from([2, 4, 8]))
+    def test_invariant_under_full_turns(self, theta, turns, k):
+        # away from the ties midway between levels, where rounding may pick either side
+        frac = (theta * k / (2 * math.pi)) % 1.0
+        assume(abs(frac - 0.5) > 1e-9)
+        shifted = theta + turns * 2 * math.pi
+        want = quantize_phase(theta, k)
+        assert quantize_phases(np.array([shifted, theta]), k).tolist() == [want, want]
 
 
 class TestPartitionFromPhases:
