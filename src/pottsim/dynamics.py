@@ -37,7 +37,7 @@ through libm too, at about 1.5x the cost of sin, and a step takes up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,9 +182,6 @@ class DynamicsParams:
                 f"unstable step: dt * max(coupling * max_degree, 2 * locking) "
                 f"= {self.dt * rate:.3f} >= 0.5"
             )
-
-    def with_noise(self, noise: float) -> "DynamicsParams":
-        return replace(self, noise=noise)
 
 
 @dataclass

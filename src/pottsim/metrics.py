@@ -232,11 +232,11 @@ def aggregate(
     cut_acc = np.array([r.cut_accuracy for r in results])
 
     m = len(results)
-    hamming_matrix = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(a + 1, m):
-            d = hamming(results[a].coloring, results[b].coloring)
-            hamming_matrix[a, b] = hamming_matrix[b, a] = d
+    colorings = np.stack([r.coloring for r in results])
+    # one row at a time keeps memory at O(m * n), not an (m, m, n) array
+    hamming_matrix = np.array(
+        [np.count_nonzero(colorings != c, axis=1) for c in colorings], dtype=np.int64
+    )
 
     degenerate = (
         m < 2 or np.all(cut_acc == cut_acc[0]) or np.all(col_acc == col_acc[0])

@@ -1,11 +1,10 @@
 """Multi-stage divide-and-color orchestration.
 
-A solve runs the staged schedule: free drift, coupled annealing, injection
-locking and phase readout, then (per additional stage) noisy relaxation,
-annealing restricted to same-group couplings, and locking with a
-group-specific reference phase. Two stages yield 4-coloring; m stages yield
-2^m-coloring. The first-stage binary readout is kept as the max-cut
-partition.
+Every stage runs the same three windows: free drift (every coupling off,
+elevated jitter), annealing on same-group couplings, and locking to the
+stage-t reference phi = group * pi / 2^(t-1) (assign_shil); the readout then
+splits each group in two. m stages yield 2^m-coloring, and the lowest bit of
+a final group id, the stage-1 readout, is kept as the max-cut partition.
 
 Group bookkeeping: after stage t a node's group id equals its eventual
 color modulo 2^t, and its locked phase is group * 2*pi / 2^t. Stage t+1
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,8 +62,9 @@ LOCK_TOLERANCE = 0.15
 class StagePlan:
     """Durations of the staged schedule, in simulation time units (~ns).
 
-    Defaults follow the 5/20/5/5/20/5 hardware schedule; sigma_relax is the
-    elevated jitter used during the free-drift and relaxation windows.
+    Stage 1 runs free drift, anneal and lock for t_init, t_anneal1, t_lock1,
+    later stages for t_relax, t_anneal2, t_lock2; the defaults follow the
+    5/20/5/5/20/5 hardware schedule. sigma_relax is the free-drift jitter.
     """
 
     t_init: float = 5.0
@@ -133,12 +133,15 @@ def gate_couplings(graph: Graph, labels) -> CouplingGate:
     return CouplingGate(labels[..., graph.ei] == labels[..., graph.ej])
 
 
-def assign_shil(labels) -> ShilConfig:
-    """Reference phi = 0 on the label-0 group, phi = pi/2 on the label-1 group."""
-    labels = np.asarray(labels)
+def assign_shil(groups, stage: int = 2) -> ShilConfig:
+    """Stage-t lock reference phi = group * pi / 2^(t-1), enabled on every node.
+
+    groups may be (B, n), one row per iteration.
+    """
+    groups = np.asarray(groups)
     return ShilConfig(
-        enabled=np.ones(len(labels), dtype=bool),
-        select=np.where(labels == 0, 0.0, math.pi / 2),
+        enabled=np.ones(groups.shape[-1], dtype=bool),
+        select=groups * (math.pi / 2 ** (stage - 1)),
     )
 
 
@@ -178,42 +181,37 @@ def solve_batch(
         # fail before integrating: no cut accuracy exists against it
         raise ValueError("baseline cut must be positive")
     rngs = [rng_for(seed) for seed in seeds]
-    relax_params = params.with_noise(plan.sigma_relax)
-
-    def window(phases, duration, gate, shil, window_params):
-        steps = step_count(duration, window_params.dt)
-        return integrate(phases, steps, graph, gate, shil, window_params, rngs)[0]
-
-    # free drift with couplings off before the first anneal
-    phases = np.stack([random_init(graph.n, rng).phases for rng in rngs])
+    relax_params = replace(params, noise=plan.sigma_relax)
     gate_off = CouplingGate.all_off(graph)
     shil_off = ShilConfig.off(graph.n)
-    phases = window(phases, plan.t_init, gate_off, shil_off, relax_params)
 
+    phases = np.stack([random_init(graph.n, rng).phases for rng in rngs])
     groups = np.zeros(phases.shape, dtype=np.int64)
-    partition = None
     unlocked = [[] for _ in seeds]
     for stage in range(1, m + 1):
-        t_anneal = plan.t_anneal1 if stage == 1 else plan.t_anneal2
-        t_lock = plan.t_lock1 if stage == 1 else plan.t_lock2
+        if stage == 1:
+            durations = (plan.t_init, plan.t_anneal1, plan.t_lock1)
+        else:
+            durations = (plan.t_relax, plan.t_anneal2, plan.t_lock2)
         gate = gate_couplings(graph, groups)
-        phi = groups * (math.pi / 2 ** (stage - 1))
-        shil = ShilConfig(enabled=np.ones(graph.n, dtype=bool), select=phi)
-
-        phases = window(phases, t_anneal, gate, shil_off, params)
-        phases = window(phases, t_lock, gate, shil, params)
+        shil = assign_shil(groups, stage)
+        windows = (
+            (gate_off, shil_off, relax_params),  # free drift
+            (gate, shil_off, params),  # anneal
+            (gate, shil, params),  # lock
+        )
+        for duration, (w_gate, w_shil, w_params) in zip(durations, windows):
+            steps = step_count(duration, w_params.dt)
+            phases = integrate(phases, steps, graph, w_gate, w_shil, w_params, rngs)[0]
 
         # split each group: bit 0 if nearer phi, 1 if nearer phi + pi
-        bit, locked = lock_readout(phases, phi, LOCK_TOLERANCE)
+        bit, locked = lock_readout(phases, shil.select, LOCK_TOLERANCE)
         for b in np.flatnonzero(~locked):
             unlocked[b].append(stage)
         groups = groups + bit * 2 ** (stage - 1)
 
-        if stage == 1:
-            partition = groups.copy()
-        if stage < m:
-            phases = window(phases, plan.t_relax, gate_off, shil_off, relax_params)
-
+    # a group id's lowest bit is its stage-1 readout
+    partition = groups % 2
     coloring = quantize_phases(phases, 2**m)
     wall_time = (_time.perf_counter() - t0) / len(seeds)
     return [

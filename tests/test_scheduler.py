@@ -18,6 +18,7 @@ from pottsim.scheduler import (
     quantize_phase,
     quantize_phases,
     solve_4coloring,
+    solve_batch,
     solve_kcoloring,
 )
 
@@ -121,6 +122,15 @@ class TestAssignShil:
     def test_all_one(self):
         assert np.all(assign_shil([1, 1]).select == math.pi / 2)
 
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_batched_groups_any_stage(self, stage):
+        # stage t sees group ids 0 .. 2^(t-1) - 1, one row per iteration
+        groups = np.arange(15).reshape(3, 5) % 2 ** (stage - 1)
+        shil = assign_shil(groups, stage)
+        assert shil.enabled.shape == (5,)
+        assert np.all(shil.enabled)
+        assert np.array_equal(shil.select, groups * math.pi / 2 ** (stage - 1))
+
 
 def best_over_seeds(graph, seeds, m=2, **kwargs):
     results = [solve_kcoloring(graph, m, seed=s, **kwargs) for s in seeds]
@@ -214,6 +224,73 @@ class TestSolveKColoring:
     def test_rejects_zero_stages(self):
         with pytest.raises(ValueError):
             solve_kcoloring(EDGE, 0)
+
+
+def record_windows(monkeypatch):
+    """Replace the window kernel by a recorder that leaves phases unchanged."""
+    windows = []
+
+    def recorder(phases, n_steps, graph, gate, shil, params, rngs):
+        windows.append((n_steps, params.noise, gate.active, shil))
+        return phases, 0.0
+
+    monkeypatch.setattr("pottsim.scheduler.integrate", recorder)
+    return windows
+
+
+class TestStageWindows:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_free_anneal_lock_per_stage(self, m, monkeypatch):
+        g = kings_graph(3)
+        windows = record_windows(monkeypatch)
+        solve_batch(g, m, seeds=range(4))
+        assert len(windows) == 3 * m
+        for stage in range(1, m + 1):
+            free, anneal, lock = windows[3 * stage - 3:3 * stage]
+            assert [w[0] for w in (free, anneal, lock)] == [500, 2000, 500]
+            assert [w[1] for w in (free, anneal, lock)] == [0.5, 0.05, 0.05]
+
+            assert not np.any(free[2])
+            assert not np.any(free[3].enabled)
+
+            # the lock reference names each row's groups; the anneal gate
+            # keeps exactly the edges inside a group
+            groups = np.rint(lock[3].select / (math.pi / 2 ** (stage - 1)))
+            assert np.array_equal(
+                np.broadcast_to(anneal[2], (4, g.edge_count)),
+                groups[:, g.ei] == groups[:, g.ej],
+            )
+            if stage == 1:
+                assert np.all(anneal[2])
+            assert not np.any(anneal[3].enabled)
+
+            assert np.array_equal(lock[2], anneal[2])
+            assert np.all(lock[3].enabled)
+
+
+class TestStagePrefix:
+    @pytest.mark.parametrize("graph", [
+        kings_graph(4),
+        kings_graph(6),
+        Graph(12, [(i, (i + 1) % 12, 1.0) for i in range(12)] + [(0, 6, 1.0)]),
+    ], ids=["kings4", "kings6", "chorded-cycle12"])
+    def test_later_stages_refine_earlier(self, graph):
+        seeds = range(15)
+        runs = {m: solve_batch(graph, m, seeds=seeds) for m in (1, 2, 3)}
+        checked = 0
+        for b in range(len(seeds)):
+            first = runs[1][b]
+            for m in (2, 3):
+                assert np.array_equal(runs[m][b].partition, first.partition)
+                assert runs[m][b].cut_accuracy == first.cut_accuracy
+                if runs[m][b].unlocked_stages:
+                    continue
+                checked += 1
+                for t in range(1, m):
+                    assert np.array_equal(
+                        runs[m][b].coloring % 2**t, runs[t][b].coloring
+                    )
+        assert checked >= len(seeds)
 
 
 class TestCrossGroupIndependence:
