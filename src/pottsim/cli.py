@@ -29,6 +29,8 @@ from .seeds import mix_seed
 
 CONFIG_ENV_VAR = "POTTSIM_CONFIG"
 
+COLOR_CHOICES = (2, 4, 8, 16)  # 2^m colors from m = 1..4 stages
+
 __all__ = ["RunConfig", "run_batch", "main"]
 
 
@@ -49,8 +51,8 @@ class RunConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.colors not in (2, 4, 8, 16):
-            raise ValueError("colors must be one of 2, 4, 8, 16")
+        if self.colors not in COLOR_CHOICES:
+            raise ValueError(f"colors must be one of {', '.join(map(str, COLOR_CHOICES))}")
 
     @property
     def stages(self) -> int:
@@ -100,12 +102,9 @@ def run_batch(graph, config: RunConfig) -> tuple[list[SolveResult], RunStats]:
     Iteration i uses seed mix_seed(master_seed, i), so results are ordered
     and reproducible however the iterations are batched.
     """
-    baseline, kind = cut_baseline(graph)
     seeds = [mix_seed(config.master_seed, i) for i in range(config.iterations)]
-    results = solve_batch(
-        graph, config.stages, config.dynamics, config.plan, seeds, baseline_cut=baseline,
-    )
-    return results, aggregate(results, graph, baseline_kind=kind)
+    results = solve_batch(graph, config.stages, config.dynamics, config.plan, seeds)
+    return results, aggregate(results, graph)
 
 
 def _write_results(outdir: str, results, stats) -> None:
@@ -193,7 +192,7 @@ def cmd_stats(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.results_dir, "result_*.json")))
     if not paths:
         raise ValueError(f"no result_*.json files in {args.results_dir}")
-    baseline, baseline_kind = cut_baseline(graph)
+    baseline = cut_baseline(graph)[0]
     results, mismatches = [], []
     for path in paths:
         with open(path) as fh:
@@ -213,7 +212,7 @@ def cmd_stats(args) -> int:
         results.append(result)
     if mismatches:
         raise ValueError("\n".join(mismatches))
-    stats = aggregate(results, graph, baseline_kind=baseline_kind)
+    stats = aggregate(results, graph)
     stats.to_json(os.path.join(args.results_dir, "stats.json"))
     stats.to_csv(os.path.join(args.results_dir, "stats.csv"))
     print(
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run a batch of staged solves")
     p_solve.add_argument("-g", "--graph", required=True)
-    p_solve.add_argument("--colors", type=int, choices=(2, 4, 8, 16))
+    p_solve.add_argument("--colors", type=int, choices=COLOR_CHOICES)
     p_solve.add_argument("--iters", type=_positive_int, dest="iters")
     p_solve.add_argument("--seed", type=int)
     p_solve.add_argument("--config", help="key=value config file")
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sides", type=_side_list, required=True)
     p_bench.add_argument("--iters", type=_positive_int, dest="iters")
     p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--colors", type=int, choices=(2, 4, 8, 16))
+    p_bench.add_argument("--colors", type=int, choices=COLOR_CHOICES)
     p_bench.add_argument("--config")
     p_bench.add_argument("-o", "--output")
     p_bench.set_defaults(func=cmd_bench)

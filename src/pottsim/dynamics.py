@@ -344,8 +344,8 @@ def evolve(
     recorder: TrajectoryRecorder | None = None,
 ) -> PhaseState:
     """Integrate for ceil(duration / dt) steps; deterministic given the seed."""
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
+    if not 0 <= duration < math.inf:  # NaN fails both comparisons
+        raise ValueError("duration must be nonnegative and finite")
     _check_dims(state, graph, gate, shil)
     params.check_stability(graph)
     phases, t = integrate(

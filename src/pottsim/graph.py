@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,7 +50,10 @@ class Graph:
                 raise GraphFormatError(f"edge ({i}, {j}) out of range for n={n}")
             if (i, j) in seen:
                 raise GraphFormatError(f"duplicate edge ({i}, {j})")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:  # an integer beyond the float range
+                w = np.inf
             if not np.isfinite(w):
                 raise GraphFormatError(f"non-finite weight on edge ({i}, {j})")
             seen.add((i, j))
@@ -93,6 +96,19 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _kings_edges(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (ei, ej) of the side x side King's graph, in Graph's sorted order.
+
+    Cell i = row * side + col joins its right, down-left, down and
+    down-right neighbors: j = i + 1, i + side - 1, i + side, i + side + 1,
+    increasing in that order, so the row-major nonzeros are sorted by (i, j).
+    """
+    row, col = np.divmod(np.arange(side * side), side)
+    right, down = col + 1 < side, row + 1 < side
+    ei, k = np.nonzero(np.stack([right, down & (col > 0), down, down & right], axis=1))
+    return ei, ei + np.array([1, side - 1, side, side + 1])[k]
+
+
 def kings_graph(side: int) -> Graph:
     """side x side grid where each cell neighbors its 8 surrounding cells.
 
@@ -101,29 +117,21 @@ def kings_graph(side: int) -> Graph:
     """
     if side < 1:
         raise ValueError("side must be >= 1")
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            # right, down-left, down, down-right: each undirected edge once
-            if c + 1 < side:
-                edges.append((i, i + 1, 1.0))
-            if r + 1 < side:
-                if c - 1 >= 0:
-                    edges.append((i, i + side - 1, 1.0))
-                edges.append((i, i + side, 1.0))
-                if c + 1 < side:
-                    edges.append((i, i + side + 1, 1.0))
-    return Graph(side * side, edges)
+    ei, ej = _kings_edges(side)
+    return Graph(side * side, ((i, j, 1.0) for i, j in zip(ei.tolist(), ej.tolist())))
 
 
 def kings_side(graph: Graph) -> int | None:
-    """Return the side length if graph is exactly a unit-weight King's graph."""
+    """Return the side length if graph is exactly a unit-weight King's graph.
+
+    Compares the stored edge arrays with the closed-form King's edge list,
+    without building a reference Graph.
+    """
     side = round(graph.n ** 0.5)
     if side * side != graph.n or side < 1:
         return None
-    ref = kings_graph(side)
-    if graph == ref:
+    ei, ej = _kings_edges(side)
+    if np.array_equal(graph.ei, ei) and np.array_equal(graph.ej, ej) and np.all(graph.w == 1.0):
         return side
     return None
 
@@ -183,13 +191,13 @@ def _load_dimacs(path) -> Graph:
             if parts[0] == "p":
                 if len(parts) != 4 or parts[1] != "edge":
                     raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
             elif parts[0] == "e":
                 if n is None:
                     raise GraphFormatError(f"{path}:{lineno}: edge before problem line")
                 if len(parts) != 3:
                     raise GraphFormatError(f"{path}:{lineno}: malformed edge line")
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                i, j = (_dimacs_int(path, lineno, part) - 1 for part in parts[1:])
                 if not (0 <= i < n and 0 <= j < n):
                     raise GraphFormatError(
                         f"{path}:{lineno}: node index out of range for n={n}"
@@ -210,18 +218,33 @@ def _load_dimacs(path) -> Graph:
     return g
 
 
+def _dimacs_int(path, lineno: int, field: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise GraphFormatError(f"{path}:{lineno}: {field!r} is not an integer") from None
+
+
 def _load_json(path) -> Graph:
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
+    if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("edges"), list):
         raise GraphFormatError(f'{path}: expected {{"n": int, "edges": [...]}}')
+    # json.load gives bool for true/false, never another int subclass
+    if type(doc["n"]) is not int or doc["n"] < 0:
+        raise GraphFormatError(f'{path}: "n" must be a nonnegative integer, got {doc["n"]!r}')
     edges = []
     for entry in doc["edges"]:
-        if not isinstance(entry, Sequence) or len(entry) not in (2, 3):
-            raise GraphFormatError(f"{path}: edge entries must be [i, j] or [i, j, w]")
+        if not (isinstance(entry, list) and len(entry) in (2, 3)
+                and type(entry[0]) is type(entry[1]) is int
+                and type(entry[-1]) in (int, float)):
+            raise GraphFormatError(
+                f"{path}: edge entries must be [i, j] or [i, j, w] with integer"
+                f" node ids and a number w, got {entry!r}"
+            )
         i, j = entry[0], entry[1]
         w = entry[2] if len(entry) == 3 else 1.0
         edges.append((i, j, w))

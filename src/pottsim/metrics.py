@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .oracle import BASELINE_KINDS
+from .oracle import cut_baseline_kind
 
 __all__ = [
     "SolveResult",
@@ -166,9 +166,9 @@ class RunStats:
     mean_accuracy: float
     hamming_matrix: np.ndarray
     stage_correlation: float
-    correlation_degenerate: bool = False
-    spearman_correlation: float | None = None
-    cut_baseline_note: str = "best-known"
+    correlation_degenerate: bool
+    spearman_correlation: float
+    cut_baseline_note: str
 
     SCHEMA_VERSION = 1
 
@@ -210,20 +210,17 @@ class RunStats:
             )
 
 
-def aggregate(
-    results: list[SolveResult], graph: Graph, baseline_kind: str = "best-known"
-) -> RunStats:
-    """Fold per-iteration results into RunStats.
+def aggregate(results: list[SolveResult], graph: Graph) -> RunStats:
+    """Fold per-iteration results on graph into RunStats.
 
     Correlation is Pearson between cut and coloring accuracy across
     iterations; a constant series makes it undefined, reported as 0 with
-    the degenerate flag set. Spearman is included alongside. baseline_kind
-    names the cut normalizer the results used (one of BASELINE_KINDS).
+    the degenerate flag set. Spearman is included alongside.
+    cut_baseline_note is oracle.cut_baseline_kind(graph), the kind of the
+    normalizer that cut_baseline picks for this graph.
     """
     if not results:
         raise ValueError("need at least one result")
-    if baseline_kind not in BASELINE_KINDS:
-        raise ValueError(f"baseline_kind must be one of {BASELINE_KINDS}")
     for r in results:
         if len(r.coloring) != graph.n:
             raise ValueError("result does not match the graph")
@@ -257,5 +254,5 @@ def aggregate(
         stage_correlation=pearson,
         correlation_degenerate=bool(degenerate),
         spearman_correlation=spearman,
-        cut_baseline_note=baseline_kind,
+        cut_baseline_note=cut_baseline_kind(graph),
     )

@@ -28,12 +28,9 @@ __all__ = [
     "constructive_kings_coloring",
     "brute_force_maxcut",
     "stripe_cut_value",
-    "BASELINE_KINDS",
     "cut_baseline_kind",
     "cut_baseline",
 ]
-
-BASELINE_KINDS = ("exact", "best-known", "upper-bound")
 
 
 class OracleTimeout(Exception):

@@ -25,6 +25,7 @@ from .dynamics import (
     DynamicsParams,
     PhaseState,
     ShilConfig,
+    TWO_PI,
     integrate,
     random_init,
     step_count,
@@ -32,12 +33,11 @@ from .dynamics import (
 )
 from .graph import Graph
 from .metrics import SolveResult, coloring_accuracy, cut_accuracy
-from .oracle import cut_baseline, cut_baseline_kind
+from .oracle import cut_baseline
 from .seeds import rng_for
 
 __all__ = [
     "StagePlan",
-    "SolveResult",
     "quantize_phase",
     "quantize_phases",
     "lock_readout",
@@ -47,13 +47,10 @@ __all__ = [
     "solve_4coloring",
     "solve_kcoloring",
     "solve_batch",
-    "cut_baseline_kind",
 ]
 
 # the cut baseline lives in oracle; this name is kept for existing callers
 _resolve_cut_baseline = cut_baseline
-
-TWO_PI = 2.0 * math.pi
 
 LOCK_TOLERANCE = 0.15
 
@@ -77,8 +74,8 @@ class StagePlan:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            if not 0 <= getattr(self, f.name) < math.inf:  # NaN fails both
+                raise ValueError(f"{f.name} must be nonnegative and finite")
 
 
 def quantize_phase(theta: float, k: int) -> int:

@@ -288,6 +288,14 @@ class TestBadInput:
         path.write_text(json.dumps(doc))
         self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path), "cut_accuracy")
 
+    @pytest.mark.parametrize("line,name", [("t_init = inf", "t_init"),
+                                           ("t_anneal1 = nan", "t_anneal1")])
+    def test_nonfinite_duration_in_config(self, line, name, k4_path, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        self._fails(["solve", "-g", k4_path, "--iters", "1", "--config", str(path)],
+                    capsys, name)
+
     def test_bench_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")

@@ -186,6 +186,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(state, -1.0, EDGE, gate, shil, DynamicsParams(noise=0.0))
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_nonfinite_duration_rejected(self, duration):
+        state = PhaseState(np.zeros(2))
+        gate, shil = free_config(EDGE)
+        with pytest.raises(ValueError, match="duration"):
+            evolve(state, duration, EDGE, gate, shil, DynamicsParams(noise=0.0))
+
 
 class TestParams:
     @pytest.mark.parametrize("name", ["coupling", "locking", "noise", "dt"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pottsim.graph
 from pottsim.graph import (
     Graph,
     GraphFormatError,
@@ -52,6 +53,12 @@ class TestKingsGraph:
         assert g.edge_count == len(expected) == 156
         assert {(i, j) for i, j, _ in g.edges} == expected
         assert 156 == 2 * 6 * 13
+
+    @given(st.integers(min_value=1, max_value=16))
+    def test_edges_vs_brute_force_every_side(self, side):
+        g = kings_graph(side)
+        assert {(i, j) for i, j, _ in g.edges} == brute_force_kings_edges(side)
+        assert np.all(g.w == 1.0)
 
     def test_rejects_side_zero(self):
         with pytest.raises(ValueError):
@@ -111,12 +118,63 @@ def graphs(draw, max_n=12):
 
 
 @st.composite
+def perturbed_kings(draw):
+    """(side, a King's graph of side 1-12 with one edge moved, reweighted or
+    dropped, or two node labels swapped); the change may leave it equal."""
+    side = draw(st.integers(min_value=1, max_value=12))
+    n = side * side
+    edges = kings_graph(side).edges
+    change = draw(st.sampled_from(["move", "reweight", "drop", "swap"]))
+    if change == "swap" or not edges:
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        label = list(range(n))
+        label[a], label[b] = b, a
+        return side, Graph(n, [(label[i], label[j], w) for i, j, w in edges])
+    i, j, w = edges.pop(draw(st.integers(0, len(edges) - 1)))
+    if change == "reweight":
+        edges.append((i, j, draw(st.floats(-4.0, 4.0) | st.just(1.0))))
+    elif change == "move":
+        a, b = sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+        taken = {(e[0], e[1]) for e in edges}
+        edges.append((a, b, w) if a != b and (a, b) not in taken else (i, j, w))
+    return side, Graph(n, edges)
+
+
+@st.composite
 def weighted_graphs(draw):
     """graphs() with any finite weights, each edge given in either orientation."""
     g = draw(graphs())
     weight = st.floats(allow_nan=False, allow_infinity=False)
     return Graph(g.n, [(j, i, draw(weight)) if draw(st.booleans()) else (i, j, draw(weight))
                        for i, j, _ in g.edges])
+
+
+class TestKingsSide:
+    @settings(max_examples=300)
+    @given(perturbed_kings())
+    def test_kings_side_matches_rebuild_on_perturbed_kings(self, case):
+        side, g = case
+        # the reference is a full rebuild and Graph.__eq__
+        assert kings_side(g) == (side if g == kings_graph(side) else None)
+
+    @settings(max_examples=100)
+    @given(graphs(max_n=39))
+    def test_kings_side_matches_rebuild_on_random_graphs(self, g):
+        side = round(g.n ** 0.5)
+        expected = side if side * side == g.n and g == kings_graph(side) else None
+        assert kings_side(g) == expected
+
+    def test_recognizes_every_side(self):
+        assert [kings_side(kings_graph(side)) for side in range(1, 31)] == list(range(1, 31))
+
+    def test_kings_side_builds_no_graph(self, monkeypatch):
+        g = kings_graph(46)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("kings_side built a Graph")
+
+        monkeypatch.setattr(pottsim.graph.Graph, "__init__", no_graph)
+        assert kings_side(g) == 46
 
 
 class TestFileIO:
@@ -211,6 +269,35 @@ class TestFileIO:
         path = tmp_path / "g.json"
         path.write_text("{not json")
         with pytest.raises(GraphFormatError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"n": "3", "edges": [[0, 1]]},
+        {"n": 2.5, "edges": [[0, 1]]},
+        {"n": True, "edges": []},
+        {"n": -1, "edges": []},
+        {"n": 3, "edges": 5},
+        {"n": 3, "edges": [["a", 1]]},
+        {"n": 3, "edges": [[0.5, 1]]},
+        {"n": 3, "edges": [[0, 1, "2"]]},
+        {"n": 3, "edges": [[0, 1, True]]},
+        {"n": 3, "edges": [[0, 1, 10**400]]},
+    ], ids=["n-string", "n-float", "n-bool", "n-negative", "edges-not-a-list",
+            "id-string", "id-float", "weight-string", "weight-bool", "weight-beyond-float"])
+    def test_json_wrong_type_names_file(self, doc, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphFormatError, match=str(path)):
+            load_graph(path)
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("p edge x 1\ne 1 2\n", 1),
+        ("p edge 2 1\ne 1 y\n", 2),
+    ], ids=["problem-line", "edge-line"])
+    def test_dimacs_non_integer_names_path_and_line(self, text, lineno, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=f"{path}:{lineno}:"):
             load_graph(path)
 
     def test_unknown_format(self, tmp_path):

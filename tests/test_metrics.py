@@ -18,7 +18,7 @@ from pottsim.metrics import (
     hamming,
     hamming_min_rotation,
 )
-from pottsim.oracle import constructive_kings_coloring, stripe_cut_value
+from pottsim.oracle import constructive_kings_coloring, cut_baseline, stripe_cut_value
 from pottsim.scheduler import SolveResult
 
 EDGE = Graph(2, [(0, 1, 1.0)])
@@ -202,6 +202,13 @@ class TestAggregate:
         g = kings_graph(2)
         with pytest.raises(ValueError):
             aggregate([make_result([0, 1], col_acc=1.0)], g)
+
+    @pytest.mark.parametrize("g", [
+        kings_graph(3), kings_graph(7), Graph(30, [(i, i + 1, 1.0) for i in range(29)]),
+    ], ids=["kings3", "kings7", "path30"])
+    def test_cut_baseline_note_read_from_graph(self, g):
+        results = [make_result(np.arange(g.n) % 2, graph=g)]
+        assert aggregate(results, g).cut_baseline_note == cut_baseline(g)[1]
 
 
 class TestSerialization:

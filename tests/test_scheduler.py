@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -369,3 +370,9 @@ class TestStagePlan:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             StagePlan(t_anneal1=-1.0)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(StagePlan)])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_rejects_nonfinite_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            StagePlan(**{name: value})

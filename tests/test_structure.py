@@ -2,7 +2,8 @@
 
 Every import counts, at module level or inside a function: the package's
 modules must form an acyclic import graph, and no module may import a
-_private name from another pottsim module.
+_private name from another pottsim module. A module's __all__ lists only
+names the module itself defines, not names it imports.
 """
 
 import ast
@@ -34,6 +35,27 @@ def intra_package_imports():
                 edges += [(alias.name.removeprefix("pottsim."), [])
                           for alias in node.names if alias.name.startswith("pottsim.")]
     return graph
+
+
+def exports_and_definitions():
+    """{module: (names in __all__, names bound at module level other than by
+    an import)} for each pottsim module that sets __all__."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        exported, defined = None, set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.col_offset == 0:
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.col_offset == 0:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined.add(target.id)
+                        if target.id == "__all__":
+                            exported = [ast.literal_eval(elt) for elt in node.value.elts]
+        if exported is not None:
+            found[path.stem] = (exported, defined)
+    return found
 
 
 def find_cycle(graph):
@@ -83,3 +105,15 @@ def test_no_private_name_imported_from_another_module():
         if name.startswith("_") and target != module
     ]
     assert private == []
+
+
+def test_all_lists_only_names_the_module_defines():
+    found = exports_and_definitions()
+    assert {"cli", "scheduler", "metrics", "oracle", "dynamics", "graph"} <= set(found)
+    imported = [
+        (module, name)
+        for module, (exported, defined) in found.items()
+        for name in exported
+        if name not in defined
+    ]
+    assert imported == []
