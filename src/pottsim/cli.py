@@ -44,9 +44,10 @@ class RunConfig:
     master_seed: int = 0
     colors: int = 4
 
+    INT_KEYS = ("iterations", "seed", "colors")
     CONFIG_KEYS = tuple(
         f.name for f in fields(DynamicsParams) + fields(StagePlan)
-    ) + ("iterations", "seed", "colors")
+    ) + INT_KEYS
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -92,7 +93,14 @@ def _parse_config_file(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in RunConfig.CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = val
+            kind = int if key in RunConfig.INT_KEYS else float
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                expected = "an integer" if kind is int else "a number"
+                raise ValueError(
+                    f"{path}:{lineno}: config key {key!r} needs {expected}, got {val!r}"
+                ) from None
     return values
 
 

@@ -192,6 +192,8 @@ def _load_dimacs(path) -> Graph:
                 if len(parts) != 4 or parts[1] != "edge":
                     raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
                 n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
+                if n < 0 or declared_m < 0:
+                    raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
             elif parts[0] == "e":
                 if n is None:
                     raise GraphFormatError(f"{path}:{lineno}: edge before problem line")

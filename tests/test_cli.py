@@ -296,6 +296,16 @@ class TestBadInput:
         self._fails(["solve", "-g", k4_path, "--iters", "1", "--config", str(path)],
                     capsys, name)
 
+    @pytest.mark.parametrize("line,name", [
+        ("iterations = 1.5", "iterations"), ("seed = x", "seed"),
+        ("noise = fast", "noise"), ("t_lock1 = 5ns", "t_lock1"),
+    ])
+    def test_unparsable_config_value(self, line, name, k4_path, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("coupling = 1.0\n" + line + "\n")
+        self._fails(["solve", "-g", k4_path, "--config", str(path)],
+                    capsys, f"{path}:2:", repr(name))
+
     def test_bench_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")

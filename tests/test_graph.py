@@ -300,6 +300,14 @@ class TestFileIO:
         with pytest.raises(GraphFormatError, match=f"{path}:{lineno}:"):
             load_graph(path)
 
+    @pytest.mark.parametrize("text", ["p edge -1 0\n", "p edge 2 -1\n"],
+                             ids=["nodes", "edges"])
+    def test_dimacs_negative_count_names_path_and_line(self, text, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=f"{path}:1:"):
+            load_graph(path)
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             load_graph(tmp_path / "g.txt")
