@@ -73,10 +73,6 @@ TWO_PI = 2.0 * math.pi
 # at most this many bytes of float64, or one step's worth if that is larger.
 NOISE_BLOCK_BYTES = 1024 * 1024
 
-# Kept for callers that import it; it no longer switches anything, since
-# wrap_phases runs once per window, not once per step.
-WRAP_FMOD_MIN_SIZE = 320
-
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:
     """Wrap angles into [0, 2*pi); values landing exactly on 2*pi map to 0.
@@ -197,6 +193,10 @@ class TrajectoryRecorder:
     times: list = field(default_factory=list)
     samples: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.sample_every < 1:
+            raise ValueError(f"sample_every must be at least 1, got {self.sample_every}")
+
     def record(self, state: PhaseState, step_index: int) -> None:
         if step_index % self.sample_every == 0:
             self.times.append(state.time)
@@ -216,13 +216,14 @@ def random_init(n: int, rng: np.random.Generator) -> PhaseState:
     return PhaseState(rng.uniform(0.0, TWO_PI, size=n), time=0.0)
 
 
-def _check_dims(state, graph, gate, shil):
-    if state.n != graph.n:
-        raise ValueError(f"state has {state.n} phases, graph has {graph.n} nodes")
-    if len(gate.active) != graph.edge_count:
-        raise ValueError("gate length does not match edge count")
-    if len(shil.enabled) != graph.n or len(shil.select) != graph.n:
-        raise ValueError("injection config length does not match node count")
+def _broadcast(name: str, array, shape: tuple) -> np.ndarray:
+    """array broadcast to shape, or a ValueError that names it."""
+    try:
+        return np.broadcast_to(array, shape)
+    except ValueError:
+        raise ValueError(
+            f"{name} has shape {np.shape(array)}, which does not broadcast to {shape}"
+        ) from None
 
 
 def integrate(
@@ -244,7 +245,8 @@ def integrate(
     gate and lock reference per iteration. Noise for row b comes from rngs[b]
     unless xi (shape (B, n_steps, n)) is given. Returns the new phases,
     wrapped into [0, 2*pi), and the clock, advanced by dt per step. The
-    recorder samples row 0.
+    recorder samples row 0. A shape that does not fit, a negative n_steps or
+    a count of rngs other than B (with noise on and no xi) raises ValueError.
 
     The phases are wrapped once per window, at its end: the drift is
     2*pi-periodic in every phase (both tangents have period pi in their
@@ -264,8 +266,17 @@ def integrate(
     step.
     """
     phases = np.array(phases, dtype=np.float64, ndmin=2)
+    if phases.ndim != 2 or phases.shape[1] != graph.n:
+        raise ValueError(f"phases have shape {phases.shape}, need (B, {graph.n})")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     batch, n = phases.shape
-    iteration, edge = np.nonzero(np.broadcast_to(gate.active, (batch, graph.edge_count)))
+    active = _broadcast("gate.active", gate.active, (batch, graph.edge_count))
+    _broadcast("shil.enabled", shil.enabled, (batch, n))
+    _broadcast("shil.select", shil.select, (batch, n))
+    if xi is not None and np.shape(xi) != (batch, n_steps, n):
+        raise ValueError(f"xi has shape {np.shape(xi)}, need {(batch, n_steps, n)}")
+    iteration, edge = np.nonzero(active)
     ei = graph.ei[edge] + n * iteration
     ej = graph.ej[edge] + n * iteration
     # the identity's factor 2 and dt times each strength, folded in once;
@@ -282,6 +293,8 @@ def integrate(
             noise_buf, block = noise_scale * xi, max(n_steps, 1)
         elif rngs is None:
             raise ValueError("noise > 0 requires an rng or explicit xi")
+        elif len(rngs) != batch:
+            raise ValueError(f"got {len(rngs)} rngs for {batch} phase rows")
         else:
             block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * batch * n)))
             noise_buf = np.empty((batch, block, n))
@@ -334,10 +347,9 @@ def step(
     (used by tests that need per-node noise streams). With noise == 0
     neither is consulted.
     """
-    _check_dims(state, graph, gate, shil)
     params.check_stability(graph)
     if xi is not None:
-        xi = np.asarray(xi, dtype=np.float64).reshape(1, 1, graph.n)
+        xi = np.asarray(xi, dtype=np.float64)[None, None]
     phases, t = integrate(
         state.phases, 1, graph, gate, shil, params,
         rngs=None if rng is None else [rng], xi=xi, time=state.time,
@@ -358,7 +370,6 @@ def evolve(
     """Integrate for ceil(duration / dt) steps; deterministic given the seed."""
     if not 0 <= duration < math.inf:  # NaN fails both comparisons
         raise ValueError("duration must be nonnegative and finite")
-    _check_dims(state, graph, gate, shil)
     params.check_stability(graph)
     phases, t = integrate(
         state.phases, step_count(duration, params.dt), graph, gate, shil, params,

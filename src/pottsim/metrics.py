@@ -3,7 +3,8 @@
 Accuracy is the fraction of edges whose endpoints got different colors
 (|E|-normalized, so a proper coloring scores 1.0). Batch statistics cover
 best/mean accuracy, the pairwise Hamming matrix of the colorings, and the
-correlation between first-stage cut quality and final coloring quality.
+Pearson and Spearman correlations between first-stage cut quality and final
+coloring quality, computed with numpy alone.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def hamming(c1, c2) -> int:
 
 def hamming_min_rotation(c1, c2, k: int) -> int:
     """Hamming distance minimized over the k cyclic color rotations of c2."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     c2 = np.asarray(c2)
     return min(hamming(c1, (c2 + r) % k) for r in range(k))
 
@@ -210,12 +213,21 @@ class RunStats:
             )
 
 
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    ordered = np.sort(values)
+    left, right = np.searchsorted(ordered, values), np.searchsorted(ordered, values, "right")
+    return (left + right + 1) / 2
+
+
 def aggregate(results: list[SolveResult], graph: Graph) -> RunStats:
     """Fold per-iteration results on graph into RunStats.
 
     Correlation is Pearson between cut and coloring accuracy across
-    iterations; a constant series makes it undefined, reported as 0 with
-    the degenerate flag set. Spearman is included alongside.
+    iterations, and Spearman is Pearson on their average ranks; both come
+    from np.corrcoef, and two iterations give exactly +-1. Fewer than two
+    iterations or a constant series makes them undefined, reported as 0
+    with the degenerate flag set.
     cut_baseline_note is oracle.cut_baseline_kind(graph), the kind of the
     normalizer that cut_baseline picks for this graph.
     """
@@ -240,11 +252,14 @@ def aggregate(results: list[SolveResult], graph: Graph) -> RunStats:
     )
     if degenerate:
         pearson, spearman = 0.0, 0.0
+    elif m == 2:
+        # two distinct points lie on a line; corrcoef can round +-1 away
+        pearson = spearman = float(
+            np.sign(cut_acc[1] - cut_acc[0]) * np.sign(col_acc[1] - col_acc[0])
+        )
     else:
-        from scipy import stats as _sps  # slow to import; only needed here
-
-        pearson = float(_sps.pearsonr(cut_acc, col_acc).statistic)
-        spearman = float(_sps.spearmanr(cut_acc, col_acc).statistic)
+        pearson = float(np.corrcoef(cut_acc, col_acc)[0, 1])
+        spearman = float(np.corrcoef(_ranks(cut_acc), _ranks(col_acc))[0, 1])
 
     return RunStats(
         per_iteration=per_iteration,

@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 
+from . import graph as _graph
 from .graph import Graph
 
 __all__ = [
@@ -228,13 +229,11 @@ def cut_baseline_kind(graph: Graph) -> str:
     row-stripe value on King's graphs, not proven optimal) or "upper-bound"
     (the total positive edge weight, so accuracies are conservative).
     """
-    # imported at call time, so a replacement of pottsim.graph.kings_side
-    # (a tracer's timing wrapper, say) is the one called
-    from .graph import kings_side
-
     if graph.edge_count == 0 or graph.n <= 24:
         return "exact"
-    side = kings_side(graph)
+    # looked up on the module at call time, so a replacement of
+    # pottsim.graph.kings_side (a tracer's timing wrapper, say) is the one called
+    side = _graph.kings_side(graph)
     if side is not None and side >= 2:
         return "best-known"
     return "upper-bound"

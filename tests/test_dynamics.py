@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from pottsim.dynamics import (
-    WRAP_FMOD_MIN_SIZE,
     CouplingGate,
     DynamicsParams,
     PhaseState,
     ShilConfig,
     TrajectoryRecorder,
     evolve,
+    integrate,
     random_init,
     step,
     wrap_phases,
@@ -197,6 +197,48 @@ class TestEvolve:
             evolve(state, duration, EDGE, gate, shil, DynamicsParams(noise=0.0))
 
 
+K3 = kings_graph(3)
+
+
+class TestIntegrateChecks:
+    """integrate rejects inputs that do not fit, naming the one at fault."""
+
+    def run(self, phases=None, n_steps=5, gate=None, shil=None, rngs=None, xi=None):
+        return integrate(
+            np.zeros((3, K3.n)) if phases is None else phases, n_steps, K3,
+            CouplingGate.all_off(K3) if gate is None else gate,
+            ShilConfig.off(K3.n) if shil is None else shil,
+            DynamicsParams(), rngs=rngs, xi=xi,
+        )
+
+    def test_too_few_rngs(self):
+        # rows without a generator would integrate uninitialized noise
+        with pytest.raises(ValueError, match="1 rngs for 3 phase rows"):
+            self.run(rngs=[rng_for(0)])
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(phases=np.zeros((3, K3.n - 1))), "phases"),
+        (dict(phases=np.zeros((2, 3, K3.n))), "phases"),
+        (dict(n_steps=-1), "n_steps"),
+        (dict(gate=CouplingGate(np.ones(K3.edge_count - 1, dtype=bool))), "gate"),
+        (dict(gate=CouplingGate(np.ones((2, K3.edge_count), dtype=bool))), "gate"),
+        (dict(shil=ShilConfig(np.ones(K3.n - 1, dtype=bool), np.zeros(K3.n - 1))), "shil"),
+        (dict(shil=ShilConfig(np.ones(K3.n, dtype=bool), np.zeros((2, K3.n)))), "shil.select"),
+        (dict(rngs=[rng_for(s) for s in range(4)]), "rngs"),
+        (dict(xi=np.zeros((3, 4, K3.n))), "xi"),
+        (dict(xi=np.zeros((5, K3.n))), "xi"),
+    ], ids=["phases-width", "phases-3d", "negative-steps", "gate-length", "gate-rows",
+            "shil-length", "select-rows", "too-many-rngs", "xi-steps", "xi-2d"])
+    def test_rejects(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            self.run(**kwargs)
+
+    def test_step_rejects_short_xi(self):
+        gate, shil = free_config(EDGE)
+        with pytest.raises(ValueError, match="xi"):
+            step(PhaseState(np.zeros(2)), EDGE, gate, shil, DynamicsParams(), xi=[1.0])
+
+
 class TestParams:
     @pytest.mark.parametrize("name", ["coupling", "locking", "noise", "dt"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -266,6 +308,10 @@ class TestTrajectoryRecorder:
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.0, 1.0]
 
+    def test_rejects_zero_sample_every(self):
+        with pytest.raises(ValueError, match="sample_every"):
+            TrajectoryRecorder(sample_every=0)
+
     def test_samples_stay_wrapped(self):
         # samples taken mid-window, where the phases are not yet wrapped
         g = kings_graph(3)
@@ -290,9 +336,7 @@ class TestWrap:
     @example([-0.0, 0.0, -5e-324, 5e-324, TWO_PI, -TWO_PI, 1e20, -1e20,
               math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0), -1e-18])
     def test_bit_identical_to_mod(self, values):
-        # the values alone take the small-array path, repeated the fmod one
-        for size in (len(values), WRAP_FMOD_MIN_SIZE + len(values)):
-            phases = np.resize(np.array(values), size)
-            want = np.mod(phases, TWO_PI)
-            want[want >= TWO_PI] = 0.0
-            assert np.array_equal(wrap_phases(phases).view(np.int64), want.view(np.int64))
+        phases = np.array(values)
+        want = np.mod(phases, TWO_PI)
+        want[want >= TWO_PI] = 0.0
+        assert np.array_equal(wrap_phases(phases).view(np.int64), want.view(np.int64))

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from pottsim.graph import Graph, kings_graph
 from pottsim.hamiltonian import potts_energy
 from pottsim.metrics import (
+    _ranks,
     aggregate,
     coloring_accuracy,
     cut_accuracy,
@@ -22,6 +24,8 @@ from pottsim.oracle import constructive_kings_coloring, cut_baseline, stripe_cut
 from pottsim.scheduler import SolveResult
 
 EDGE = Graph(2, [(0, 1, 1.0)])
+# accuracy-like values on a coarse grid, so that ties are common
+GRID = st.integers(0, 12).map(lambda i: 0.5 + i / 24)
 TRIANGLE = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
 
@@ -142,6 +146,10 @@ class TestHamming:
         # relabelling c2 by a rotation does not change the minimum
         assert hamming_min_rotation(c1, (c2 + r) % k, k) == rotated
 
+    def test_rotation_rejects_no_colors(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            hamming_min_rotation([0, 1], [1, 0], 0)
+
 
 class TestAggregate:
     def test_single_result(self):
@@ -185,6 +193,38 @@ class TestAggregate:
         assert fwd.mean_accuracy == rev.mean_accuracy
         assert fwd.stage_correlation == pytest.approx(rev.stage_correlation)
         assert np.array_equal(fwd.hamming_matrix, rev.hamming_matrix[::-1, ::-1])
+
+    @pytest.mark.parametrize("cut,col,want", [
+        ((0.392, 0.89), (0.227, 0.623), 1.0),
+        ((0.084, 0.833), (0.787, 0.239), -1.0),
+    ])
+    def test_two_iterations_correlate_exactly(self, cut, col, want):
+        # np.corrcoef gives 0.9999999999999998 and -0.9999999999999997 here
+        results = [make_result([0, 1], cut_acc=c, col_acc=a, seed=s)
+                   for s, (c, a) in enumerate(zip(cut, col))]
+        stats = aggregate(results, EDGE)
+        assert not stats.correlation_degenerate
+        assert stats.stage_correlation == stats.spearman_correlation == want
+
+    @given(st.integers(2, 60).flatmap(lambda m: st.lists(
+        st.tuples(GRID, GRID), min_size=m, max_size=m)))
+    def test_correlations_match_scipy(self, pairs):
+        results = [make_result([0, 1], cut_acc=c, col_acc=a, seed=s)
+                   for s, (c, a) in enumerate(pairs)]
+        stats = aggregate(results, EDGE)
+        cut, col = np.array(pairs).T
+        if np.all(cut == cut[0]) or np.all(col == col[0]):
+            assert stats.correlation_degenerate
+            assert stats.stage_correlation == stats.spearman_correlation == 0.0
+        else:
+            assert not stats.correlation_degenerate
+            assert abs(stats.stage_correlation - sps.pearsonr(cut, col).statistic) <= 1e-13
+            assert abs(stats.spearman_correlation - sps.spearmanr(cut, col).statistic) <= 1e-13
+
+    @given(st.lists(GRID, min_size=1, max_size=60))
+    def test_ranks_equal_scipy_rankdata(self, values):
+        values = np.array(values)
+        assert np.array_equal(_ranks(values), sps.rankdata(values))
 
     def test_hamming_matrix_symmetric_zero_diagonal(self):
         g = kings_graph(2)
@@ -265,3 +305,16 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_run_batch_loads_no_scipy(self):
+        code = (
+            "import sys, pottsim; from pottsim.cli import RunConfig, run_batch\n"
+            "stats = run_batch(pottsim.kings_graph(7), RunConfig(iterations=40))[1]\n"
+            "assert not stats.correlation_degenerate\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

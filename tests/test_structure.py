@@ -1,24 +1,32 @@
 """Structure of the pottsim package, read from its source with ast.
 
-Every import counts, at module level or inside a function: the package's
-modules must form an acyclic import graph, and no module may import a
-_private name from another pottsim module. A module's __all__ lists only
-names the module itself defines, not names it imports.
+The package's modules must form an acyclic import graph, and no module may
+import a _private name from another pottsim module. A module's __all__ lists
+only names the module itself defines, not names it imports. Every import
+sits at module level, and every absolute one names a standard-library
+module or numpy, the one runtime dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pottsim"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def parsed_modules():
+    """(module name, ast tree) for each pottsim module."""
+    return [(path.stem, ast.parse(path.read_text(), str(path)))
+            for path in sorted(PACKAGE.glob("*.py"))]
 
 
 def intra_package_imports():
     """{module: [(imported module, [imported names]), ...]} within pottsim."""
     graph = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
+    for module, tree in parsed_modules():
         edges = graph.setdefault(module, [])
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 if node.level == 1:
                     target = node.module or ""
@@ -41,9 +49,9 @@ def exports_and_definitions():
     """{module: (names in __all__, names bound at module level other than by
     an import)} for each pottsim module that sets __all__."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for module, tree in parsed_modules():
         exported, defined = None, set()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.col_offset == 0:
                 defined.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.col_offset == 0:
@@ -54,7 +62,7 @@ def exports_and_definitions():
                         if target.id == "__all__":
                             exported = [ast.literal_eval(elt) for elt in node.value.elts]
         if exported is not None:
-            found[path.stem] = (exported, defined)
+            found[module] = (exported, defined)
     return found
 
 
@@ -117,3 +125,28 @@ def test_all_lists_only_names_the_module_defines():
         if name not in defined
     ]
     assert imported == []
+
+
+def test_no_import_inside_a_function():
+    nested = [
+        (module, node.lineno)
+        for module, tree in parsed_modules()
+        for function in ast.walk(tree) if isinstance(function, FUNCTIONS)
+        for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+def test_absolute_imports_name_stdlib_or_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for module, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(module, name) for name in names if name.split(".")[0] not in allowed]
+    assert outside == []
