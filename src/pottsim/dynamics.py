@@ -81,8 +81,7 @@ def wrap_phases(phases: np.ndarray) -> np.ndarray:
     negative input up to 2*pi, which maps to 0 here.
     """
     wrapped = np.mod(phases, TWO_PI)
-    wrapped[wrapped >= TWO_PI] = 0.0
-    return wrapped
+    return np.where(wrapped >= TWO_PI, 0.0, wrapped)
 
 
 def half_angle_sine(half: np.ndarray, scale) -> np.ndarray:
@@ -105,10 +104,6 @@ class PhaseState:
 
     phases: np.ndarray
     time: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return len(self.phases)
 
 
 @dataclass(frozen=True)

@@ -2,20 +2,25 @@
 
 exact_coloring is a DSATUR-ordered backtracking search: exact for the
 K-colorability decision, fast on the benchmark family, and the reference
-everything else is checked against. brute_force_maxcut searches all
-partitions (n <= 24) and returns bit for bit what a plain edge-by-edge
-enumeration returns. For integer weights, whose scores are exact in any
-order, it works by meet in the middle: the free nodes split into two
-halves, and one matrix product scores every pairing of half-labelings in a
-block. Other weights are summed edge by edge. The King's-graph closed
-forms give a constructive proper 4-coloring and the best-known (row-stripe)
-cut value. cut_baseline picks the max-cut normalizer that cut accuracies
-are reported against.
+everything else is checked against. Its state is per-node color counts:
+how many colored neighbors hold each color, and how many distinct colors
+each node sees. Its node order and witnesses match those of the
+list-and-set search that tests/test_oracle.py keeps as a reference.
+
+brute_force_maxcut searches all partitions (n <= 24) and returns bit for
+bit what a plain edge-by-edge enumeration returns. For integer weights,
+whose scores are exact in any order, it works by meet in the middle: the
+free nodes split into two halves, and one matrix product scores every
+pairing of half-labelings in a block. Other weights are summed edge by
+edge. The King's-graph closed forms give a constructive proper
+4-coloring and the best-known (row-stripe) cut value. cut_baseline picks
+the max-cut normalizer that cut accuracies are reported against.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -46,81 +51,53 @@ def exact_coloring(
 ) -> list[int] | None:
     """Return a proper k-coloring if one exists, else None.
 
-    Backtracking over a DSATUR order (most saturated, then highest degree).
-    Exact but potentially slow on adversarial graphs, hence the node limit
-    and optional wall-clock budget.
+    Backtracking over a DSATUR order (most saturated, then highest degree,
+    then lowest index) on per-node color counts. Exact but potentially slow,
+    hence the node limit and optional time budget (seconds; None or inf: none).
     """
-    if k < 1:
-        raise ValueError("need at least one color")
-    if graph.n > node_limit:
-        raise ValueError(f"graph has {graph.n} nodes, above node_limit={node_limit}")
-    if graph.n == 0:
-        return []
-
-    adj = [[] for _ in range(graph.n)]
-    for i, j, _ in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    degree = [len(a) for a in adj]
-
-    colors = [-1] * graph.n
-    neighbor_colors = [set() for _ in range(graph.n)]
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-
-    def pick_node():
-        best, best_key = -1, None
-        for v in range(graph.n):
-            if colors[v] != -1:
-                continue
-            key = (len(neighbor_colors[v]), degree[v])
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        return best
-
-    def assign(v, c):
-        colors[v] = c
-        touched = []
-        for u in adj[v]:
-            if colors[u] == -1 and c not in neighbor_colors[u]:
-                neighbor_colors[u].add(c)
-                touched.append(u)
-        return touched
-
-    def unassign(v, c, touched):
-        colors[v] = -1
-        for u in touched:
-            neighbor_colors[u].discard(c)
-
-    # Depth-first search with an explicit stack, one frame per colored node:
-    # [node, colors in use before it, next color to try, nodes its current
-    # color touched]. Frames try colors in the order a recursive search would.
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time_budget must be >= 0 seconds, got {time_budget!r}")
+    n = graph.n
+    if n > node_limit:
+        raise ValueError(f"graph has {n} nodes, above node_limit={node_limit}")
+    degree = graph.degrees()
+    src, dst = np.r_[graph.ei, graph.ej], np.r_[graph.ej, graph.ei]
+    adj = np.split(dst[np.argsort(src, kind="stable")], np.cumsum(degree)[:-1])
+    # with max degree + 1 colors nothing backtracks, and more change no choice
+    width = min(k, graph.max_degree() + 1)
+    colors = np.full(n, -1)
+    seen = np.zeros((n, width), dtype=np.int64)  # colored neighbors of v with color c
+    saturation = np.zeros(n, dtype=np.int64)  # distinct colors among v's neighbors
+    deadline = math.inf if time_budget is None else time.monotonic() + time_budget
+    # depth-first search on an explicit stack of [node, next color to try] frames
     frames = []
-    used = 0
-    descend = True
-    while True:
-        if descend:
-            if deadline is not None and time.monotonic() > deadline:
-                raise OracleTimeout(f"exceeded {time_budget}s searching for a {k}-coloring")
-            if len(frames) == graph.n:
-                return colors
-            frames.append([pick_node(), used, 0, None])
-        frame = frames[-1]
-        v, used_before, c, touched = frame
-        if touched is not None:
-            unassign(v, c - 1, touched)
-        # symmetry breaking: at most one brand-new color is worth trying
-        limit = min(used_before + 1, k)
-        while c < limit and c in neighbor_colors[v]:
-            c += 1
-        if c < limit:
-            frame[2], frame[3] = c + 1, assign(v, c)
-            used = max(used_before, c + 1)
-            descend = True
-        else:
+    while len(frames) < n:
+        if time.monotonic() > deadline:
+            raise OracleTimeout(f"exceeded {time_budget}s searching for a {k}-coloring")
+        key = np.where(colors < 0, saturation * (n + 1) + degree, -1)
+        frames.append([int(np.argmax(key)), 0])
+        while frames:
+            v, c = frames[-1]
+            nbrs = adj[v]
+            if colors[v] >= 0:  # undo the color tried last
+                seen[nbrs, c - 1] -= 1
+                saturation[nbrs] -= seen[nbrs, c - 1] == 0
+                colors[v] = -1
+            # symmetry breaking: at most one brand-new color is worth trying
+            limit = min(colors.max() + 2, width)
+            while c < limit and seen[v, c]:
+                c += 1
+            if c < limit:
+                frames[-1][1], colors[v] = c + 1, c
+                seen[nbrs, c] += 1
+                saturation[nbrs] += seen[nbrs, c] == 1
+                break
             frames.pop()
-            if not frames:
-                return None
-            descend = False
+        else:
+            return None
+    return colors.tolist()
 
 
 def constructive_kings_coloring(side: int) -> list[int]:

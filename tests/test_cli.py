@@ -105,6 +105,13 @@ class TestOracle:
         assert main(["oracle", "-g", k4_path, "--colors", "1"]) == 0
         assert "not colorable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_bad_time_budget_is_an_error(self, k4_path, capsys, budget):
+        assert main(["oracle", "-g", k4_path, "--colors", "4", "--time-budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: time_budget")
+
 
 class TestBench:
     def test_single_side(self, tmp_path, capsys):

@@ -340,3 +340,11 @@ class TestWrap:
         want = np.mod(phases, TWO_PI)
         want[want >= TWO_PI] = 0.0
         assert np.array_equal(wrap_phases(phases).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("value", [7.0, -1e-18, TWO_PI, -0.0, 1e20])
+    def test_scalar_and_0d_match_one_element_array(self, value):
+        want = wrap_phases(np.array([value]))[0]
+        for phases in (value, np.float64(value), np.array(value)):
+            got = wrap_phases(phases)
+            assert np.shape(got) == ()
+            assert np.float64(got).view(np.int64) == want.view(np.int64)

@@ -29,6 +29,101 @@ def proper(graph, coloring, k):
     )
 
 
+# The search exact_coloring ran on Python lists, sets and undo lists before it
+# moved to color-count arrays, kept verbatim: its witnesses are the spec.
+def reference_exact_coloring(
+    graph: Graph,
+    k: int,
+    node_limit: int = 10_000,
+    time_budget: float | None = None,
+) -> list[int] | None:
+    """Return a proper k-coloring if one exists, else None.
+
+    Backtracking over a DSATUR order (most saturated, then highest degree).
+    Exact but potentially slow on adversarial graphs, hence the node limit
+    and optional wall-clock budget.
+    """
+    if k < 1:
+        raise ValueError("need at least one color")
+    if graph.n > node_limit:
+        raise ValueError(f"graph has {graph.n} nodes, above node_limit={node_limit}")
+    if graph.n == 0:
+        return []
+
+    adj = [[] for _ in range(graph.n)]
+    for i, j, _ in graph.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    degree = [len(a) for a in adj]
+
+    colors = [-1] * graph.n
+    neighbor_colors = [set() for _ in range(graph.n)]
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+
+    def pick_node():
+        best, best_key = -1, None
+        for v in range(graph.n):
+            if colors[v] != -1:
+                continue
+            key = (len(neighbor_colors[v]), degree[v])
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        return best
+
+    def assign(v, c):
+        colors[v] = c
+        touched = []
+        for u in adj[v]:
+            if colors[u] == -1 and c not in neighbor_colors[u]:
+                neighbor_colors[u].add(c)
+                touched.append(u)
+        return touched
+
+    def unassign(v, c, touched):
+        colors[v] = -1
+        for u in touched:
+            neighbor_colors[u].discard(c)
+
+    # Depth-first search with an explicit stack, one frame per colored node:
+    # [node, colors in use before it, next color to try, nodes its current
+    # color touched]. Frames try colors in the order a recursive search would.
+    frames = []
+    used = 0
+    descend = True
+    while True:
+        if descend:
+            if deadline is not None and time.monotonic() > deadline:
+                raise OracleTimeout(f"exceeded {time_budget}s searching for a {k}-coloring")
+            if len(frames) == graph.n:
+                return colors
+            frames.append([pick_node(), used, 0, None])
+        frame = frames[-1]
+        v, used_before, c, touched = frame
+        if touched is not None:
+            unassign(v, c - 1, touched)
+        # symmetry breaking: at most one brand-new color is worth trying
+        limit = min(used_before + 1, k)
+        while c < limit and c in neighbor_colors[v]:
+            c += 1
+        if c < limit:
+            frame[2], frame[3] = c + 1, assign(v, c)
+            used = max(used_before, c + 1)
+            descend = True
+        else:
+            frames.pop()
+            if not frames:
+                return None
+            descend = False
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, [(i, j, 1.0) for i, j in chosen])
+
+
 class TestExactColoring:
     def test_k4_forced_bijection(self):
         g = kings_graph(2)
@@ -50,7 +145,7 @@ class TestExactColoring:
     def test_edgeless(self):
         assert exact_coloring(Graph(3, []), 1) == [0, 0, 0]
 
-    @pytest.mark.parametrize("side", [32, 46])
+    @pytest.mark.parametrize("side", [32, 46, 100])
     def test_large_kings_within_node_limit(self, side):
         # deeper than the interpreter's recursion limit
         g = kings_graph(side)
@@ -77,6 +172,46 @@ class TestExactColoring:
     def test_rejects_zero_colors(self):
         with pytest.raises(ValueError):
             exact_coloring(kings_graph(2), 0)
+
+    @pytest.mark.parametrize("k", [2.5, 4.0, True, "4", None, -1])
+    def test_rejects_k_that_is_not_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            exact_coloring(kings_graph(2), k)
+
+    def test_accepts_numpy_integer_k(self):
+        assert exact_coloring(kings_graph(2), np.int64(4)) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1])
+    def test_rejects_nan_or_negative_time_budget(self, budget):
+        with pytest.raises(ValueError, match="time_budget"):
+            exact_coloring(kings_graph(2), 4, time_budget=budget)
+
+    def test_infinite_time_budget_means_no_limit(self):
+        assert exact_coloring(kings_graph(7), 4, time_budget=float("inf")) is not None
+
+    def test_empty_graph(self):
+        assert exact_coloring(Graph(0, []), 1) == []
+
+    def test_huge_k_answers_like_max_degree_plus_one(self):
+        # only max degree + 1 = 9 colors are ever tried, so this allocates little
+        g = kings_graph(20)
+        assert exact_coloring(g, 10**9) == exact_coloring(g, 9)
+
+
+class TestSameWitnessesAsReference:
+    """exact_coloring returns reference_exact_coloring's witness, None included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.integers(1, 5))
+    def test_small_graphs(self, graph, k):
+        assert exact_coloring(graph, k) == reference_exact_coloring(graph, k)
+
+    # k = 3 is left out: every 2 x 2 block is a K4, and the search is exponential
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    @pytest.mark.parametrize("side", range(1, 21))
+    def test_kings(self, side, k):
+        graph = kings_graph(side)
+        assert exact_coloring(graph, k) == reference_exact_coloring(graph, k)
 
 
 class TestConstructiveKingsColoring:

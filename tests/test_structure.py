@@ -4,7 +4,9 @@ The package's modules must form an acyclic import graph, and no module may
 import a _private name from another pottsim module. A module's __all__ lists
 only names the module itself defines, not names it imports. Every import
 sits at module level, and every absolute one names a standard-library
-module or numpy, the one runtime dependency.
+module or numpy, the one runtime dependency. No function calls itself:
+searches keep explicit stacks, so their depth is not bounded by the
+interpreter's recursion limit.
 """
 
 import ast
@@ -63,6 +65,29 @@ def exports_and_definitions():
                             exported = [ast.literal_eval(elt) for elt in node.value.elts]
         if exported is not None:
             found[module] = (exported, defined)
+    return found
+
+
+def self_calls(tree):
+    """(function name, line) for each call a function makes to itself by
+    name or as a self./cls. attribute, from its nested functions too."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name):
+                name = callee.id
+            elif (isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name)
+                  and callee.value.id in ("self", "cls")):
+                name = callee.attr
+            else:
+                continue
+            if name == function.name:
+                found.append((function.name, node.lineno))
     return found
 
 
@@ -150,3 +175,26 @@ def test_absolute_imports_name_stdlib_or_numpy():
                 continue
             outside += [(module, name) for name in names if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_no_function_calls_itself():
+    recursive = [(module, *call) for module, tree in parsed_modules() for call in self_calls(tree)]
+    assert recursive == []
+
+
+def test_self_calls_sees_a_nested_recursive_search():
+    source = """
+def exact_coloring(graph, k):
+    def backtrack(colored, used):
+        if colored == graph.n:
+            return True
+        return backtrack(colored + 1, used)
+
+    return backtrack(0, 0)
+
+
+class Walker:
+    def visit(self, node):
+        return [self.visit(child) for child in node]
+"""
+    assert self_calls(ast.parse(source)) == [("backtrack", 6), ("visit", 13)]
