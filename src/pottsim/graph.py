@@ -8,7 +8,10 @@ treated as immutable after construction and are safe to share across threads.
 from __future__ import annotations
 
 import json
+import numbers
 import os
+from itertools import compress, islice
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -33,36 +36,21 @@ class Graph:
     """Simple undirected graph with real edge weights.
 
     Edges are canonicalized to i < j at construction; self-loops and
-    duplicates are rejected.
+    duplicates are rejected. n and the node ids must be integers (Python or
+    numpy, not bool) and each weight a real number (`numbers.Real`, not
+    bool).
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        if n < 0:
-            raise ValueError("node count must be nonnegative")
-        canon = []
-        seen = set()
-        for i, j, w in edges:
-            if i == j:
-                raise GraphFormatError(f"self-loop on node {i}")
-            if i > j:
-                i, j = j, i
-            if not (0 <= i < j < n):
-                raise GraphFormatError(f"edge ({i}, {j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise GraphFormatError(f"duplicate edge ({i}, {j})")
-            try:
-                w = float(w)
-            except OverflowError:  # an integer beyond the float range
-                w = np.inf
-            if not np.isfinite(w):
-                raise GraphFormatError(f"non-finite weight on edge ({i}, {j})")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        canon.sort()
-        self.n = int(n)
-        self.ei = np.array([e[0] for e in canon], dtype=np.int64)
-        self.ej = np.array([e[1] for e in canon], dtype=np.int64)
-        self.w = np.array([e[2] for e in canon], dtype=np.float64)
+        self.n = _node_count(n)
+        rows = list(edges)
+        good, i, j, w = _columns(rows, (3,))
+        if not good.all():
+            raise GraphFormatError(
+                "an edge must be (i, j, w) with integer node ids (not bool) and a real"
+                f" weight w, got {rows[int(good.argmin())]!r}"
+            )
+        self.ei, self.ej, self.w = _canonical_edges(self.n, _ids(i), _ids(j), _weights(w))
 
     @property
     def edge_count(self) -> int:
@@ -96,6 +84,109 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _graph(n: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Graph:
+    """A Graph on the (ei, ej, w) arrays that _canonical_edges returned."""
+    graph = Graph.__new__(Graph)
+    graph.n, (graph.ei, graph.ej, graph.w) = n, edges
+    return graph
+
+
+def _is_id(kind: type) -> bool:
+    return issubclass(kind, numbers.Integral) and kind is not bool
+
+
+def _is_real(kind: type) -> bool:
+    return issubclass(kind, numbers.Real) and kind is not bool
+
+
+def _node_count(n) -> int:
+    if not _is_id(type(n)):
+        raise ValueError(f"node count n must be an integer (not bool), got {n!r}")
+    if n < 0:
+        raise ValueError("node count must be nonnegative")
+    return int(n)
+
+
+def _mask(keys: list, ok) -> np.ndarray:
+    """ok(key) for each key, as a bool array; ok runs once per distinct key."""
+    verdict = {key: ok(key) for key in set(keys)}
+    return np.fromiter(map(verdict.__getitem__, keys), dtype=bool, count=len(keys))
+
+
+def _columns(rows: list, sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple, tuple, tuple]:
+    """The mask of rows (i, j, ..., w) whose length is in sizes, whose node ids
+    are integers (not bool) and whose last item is a real number, and the
+    columns i, j and last item of those rows."""
+    good = _mask(list(map(len, rows)), sizes.__contains__)
+    kept = list(compress(rows, good))
+    i, j, w = (tuple(map(itemgetter(k), kept)) for k in (0, 1, -1))
+    good[good] = (_mask(list(map(type, i)), _is_id) & _mask(list(map(type, j)), _is_id)
+                  & _mask(list(map(type, w)), _is_real))
+    return good, i, j, w
+
+
+def _ids(values) -> np.ndarray:
+    """Node ids as int64, or as Python ints in an object array when one lies
+    beyond int64 (such an id is out of range, which _canonical_edges reports)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(list(map(int, values)), dtype=object)
+
+
+def _weights(values) -> np.ndarray:
+    """Weights as float64, as float() gives them; an integer beyond the float
+    range becomes inf, which _canonical_edges rejects."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:  # only input that is then rejected comes here
+        return np.fromiter(map(_float, values), dtype=np.float64, count=len(values))
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf
+
+
+def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+                     where=lambda k: "") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the edges (i[k], j[k], w[k]), given in input order, and return
+    them as (ei, ej, w) arrays with ei < ej, sorted by (ei, ej).
+
+    i and j are int64 arrays (or object arrays, see _ids) and w is float64.
+    The first offending edge k in input order raises a GraphFormatError
+    prefixed by where(k), naming the first of its checks that fails: self-loop,
+    node range, duplicate of an earlier edge (in either orientation), finite
+    weight.
+    """
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    bad = (i == j) | (lo < 0) | (hi >= n)
+    # a pair's checks above hold for all its copies, so the bad pairs can share one key
+    lo, hi = (np.where(bad, -1, ends).astype(np.int64) for ends in (lo, hi))
+    order = np.lexsort((hi, lo))  # stable: the copies of a pair keep input order
+    lo, hi = lo[order], hi[order]
+    duplicate = np.zeros(len(order), dtype=bool)
+    duplicate[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    offending = bad | duplicate | ~np.isfinite(w)
+    if offending.any():
+        k = int(offending.argmax())
+        raise GraphFormatError(where(k) + _offence(n, i[k], j[k], duplicate[k]))
+    return lo, hi, w[order]
+
+
+def _offence(n: int, i, j, duplicate: bool) -> str:
+    if i == j:
+        return f"self-loop on node {i}"
+    i, j = min(i, j), max(i, j)
+    if not 0 <= i < j < n:
+        return f"edge ({i}, {j}) out of range for n={n}"
+    if duplicate:
+        return f"duplicate edge ({i}, {j})"
+    return f"non-finite weight on edge ({i}, {j})"
+
+
 def _kings_edges(side: int) -> tuple[np.ndarray, np.ndarray]:
     """Edges (ei, ej) of the side x side King's graph, in Graph's sorted order.
 
@@ -115,10 +206,11 @@ def kings_graph(side: int) -> Graph:
     Node index is row * side + col. All weights are 1.0. Edge count is
     2 * (side - 1) * (2 * side - 1).
     """
-    if side < 1:
-        raise ValueError("side must be >= 1")
-    ei, ej = _kings_edges(side)
-    return Graph(side * side, ((i, j, 1.0) for i, j in zip(ei.tolist(), ej.tolist())))
+    if not _is_id(type(side)) or side < 1:
+        raise ValueError(f"side must be an integer >= 1 (not bool), got {side!r}")
+    n = int(side) ** 2
+    ei, ej = _kings_edges(int(side))
+    return _graph(n, _canonical_edges(n, ei, ej, np.ones(len(ei))))
 
 
 def kings_side(graph: Graph) -> int | None:
@@ -153,16 +245,13 @@ def save_graph(graph: Graph, path: str | os.PathLike, format: str | None = None)
     """Write graph to path; load_graph(path) round-trips to an equal graph."""
     fmt = format or _infer_format(path)
     if fmt == "dimacs_col":
-        lines = [f"p edge {graph.n} {graph.edge_count}"]
-        for i, j, w in graph.edges:
-            if w != 1.0:
-                raise ValueError("DIMACS .col cannot represent non-unit weights")
-            lines.append(f"e {i + 1} {j + 1}")
-        text = "\n".join(lines) + "\n"
+        if np.any(graph.w != 1.0):
+            raise ValueError("DIMACS .col cannot represent non-unit weights")
+        edges = map("e {} {}\n".format, (graph.ei + 1).tolist(), (graph.ej + 1).tolist())
+        text = f"p edge {graph.n} {graph.edge_count}\n" + "".join(edges)
     elif fmt == "json_edges":
-        text = json.dumps(
-            {"n": graph.n, "edges": [[i, j, w] for i, j, w in graph.edges]}
-        ) + "\n"
+        edges = list(map(list, zip(graph.ei.tolist(), graph.ej.tolist(), graph.w.tolist())))
+        text = json.dumps({"n": graph.n, "edges": edges}) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     with open(path, "w") as fh:
@@ -179,45 +268,72 @@ def _infer_format(path) -> str:
 
 
 def _load_dimacs(path) -> Graph:
-    n = None
-    declared_m = None
-    edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
-                n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
-                if n < 0 or declared_m < 0:
-                    raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
-            elif parts[0] == "e":
-                if n is None:
-                    raise GraphFormatError(f"{path}:{lineno}: edge before problem line")
-                if len(parts) != 3:
-                    raise GraphFormatError(f"{path}:{lineno}: malformed edge line")
-                i, j = (_dimacs_int(path, lineno, part) - 1 for part in parts[1:])
-                if not (0 <= i < n and 0 <= j < n):
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: node index out of range for n={n}"
-                    )
-                edges.append((i, j, 1.0))
-            else:
-                raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
-    if n is None:
-        raise GraphFormatError(f"{path}: missing problem line")
     try:
-        g = Graph(n, edges)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+        n, declared_m, parts = _read_dimacs(path)
+        # numpy parses each token as int() does, raising ValueError or OverflowError
+        i, j = (np.array(parts[k::3], dtype=np.int64) for k in (1, 2))
+        in_range = i.size == 0 or (min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= n)
+    except (ValueError, OverflowError):  # GraphFormatError is a ValueError
+        in_range = False
+    if not in_range:
+        # read again checking each edge line as it comes, so the first bad line raises
+        n, declared_m, parts = _read_dimacs(path, check_edges=True)
+        i, j = (np.array(parts[k::3], dtype=np.int64) for k in (1, 2))
+    g = _graph(n, _canonical_edges(n, i - 1, j - 1, np.ones(len(i)),
+                                   lambda k: f"{path}:{_edge_lineno(path, k)}: "))
     if declared_m is not None and g.edge_count != declared_m:
         raise GraphFormatError(
             f"{path}: declared {declared_m} edges, found {g.edge_count}"
         )
     return g
+
+
+def _read_dimacs(path, check_edges: bool = False) -> tuple[int, int, list[str]]:
+    """The node count, the declared edge count and the split edge lines,
+    flattened: "e", i, j for each.
+
+    Each line's syntax is checked as it is read. With check_edges, so are
+    each edge line's endpoints: integers within the node count.
+    """
+    n = None
+    declared_m = None
+    edge_parts = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("c"):
+                continue
+            if parts[0] == "e":
+                if n is None:
+                    raise GraphFormatError(f"{path}:{lineno}: edge before problem line")
+                if len(parts) != 3:
+                    raise GraphFormatError(f"{path}:{lineno}: malformed edge line")
+                if check_edges:
+                    i, j = (_dimacs_int(path, lineno, part) - 1 for part in parts[1:])
+                    if not (0 <= i < n and 0 <= j < n):
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: node index out of range for n={n}"
+                        )
+                edge_parts += parts
+            elif parts[0] == "p":
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
+                n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
+                if n < 0 or declared_m < 0:
+                    raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
+            else:
+                raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
+    if n is None:
+        raise GraphFormatError(f"{path}: missing problem line")
+    return n, declared_m, edge_parts
+
+
+def _edge_lineno(path, k: int) -> int:
+    """The line number of edge line k (from 0) of a DIMACS file that parsed."""
+    with open(path) as fh:
+        edge_lines = (lineno for lineno, raw in enumerate(fh, start=1)
+                      if raw.split(None, 1)[:1] == ["e"])
+        return next(islice(edge_lines, k, None))
 
 
 def _dimacs_int(path, lineno: int, field: str) -> int:
@@ -238,19 +354,16 @@ def _load_json(path) -> Graph:
     # json.load gives bool for true/false, never another int subclass
     if type(doc["n"]) is not int or doc["n"] < 0:
         raise GraphFormatError(f'{path}: "n" must be a nonnegative integer, got {doc["n"]!r}')
-    edges = []
-    for entry in doc["edges"]:
-        if not (isinstance(entry, list) and len(entry) in (2, 3)
-                and type(entry[0]) is type(entry[1]) is int
-                and type(entry[-1]) in (int, float)):
-            raise GraphFormatError(
-                f"{path}: edge entries must be [i, j] or [i, j, w] with integer"
-                f" node ids and a number w, got {entry!r}"
-            )
-        i, j = entry[0], entry[1]
-        w = entry[2] if len(entry) == 3 else 1.0
-        edges.append((i, j, w))
-    try:
-        return Graph(doc["n"], edges)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+    rows = doc["edges"]
+    good = _mask(list(map(type, rows)), lambda kind: kind is list)
+    shaped, i, j, last = _columns(list(compress(rows, good)), (2, 3))
+    good[good] = shaped
+    if not good.all():
+        raise GraphFormatError(
+            f"{path}: edge entries must be [i, j] or [i, j, w] with integer"
+            f" node ids and a number w, got {rows[int(good.argmin())]!r}"
+        )
+    weighted = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) == 3
+    return _graph(doc["n"], _canonical_edges(doc["n"], _ids(i), _ids(j),
+                                             np.where(weighted, _weights(last), 1.0),
+                                             lambda k: f"{path}: "))

@@ -1,8 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pottsim.graph
@@ -14,6 +15,148 @@ from pottsim.graph import (
     load_graph,
     save_graph,
 )
+
+
+def reference_graph(n, edges):
+    """Graph.__init__ as it was before graphs were built from arrays, verbatim
+    but for returning (n, ei, ej, w) in place of setting attributes."""
+    if n < 0:
+        raise ValueError("node count must be nonnegative")
+    canon = []
+    seen = set()
+    for i, j, w in edges:
+        if i == j:
+            raise GraphFormatError(f"self-loop on node {i}")
+        if i > j:
+            i, j = j, i
+        if not (0 <= i < j < n):
+            raise GraphFormatError(f"edge ({i}, {j}) out of range for n={n}")
+        if (i, j) in seen:
+            raise GraphFormatError(f"duplicate edge ({i}, {j})")
+        try:
+            w = float(w)
+        except OverflowError:  # an integer beyond the float range
+            w = np.inf
+        if not np.isfinite(w):
+            raise GraphFormatError(f"non-finite weight on edge ({i}, {j})")
+        seen.add((i, j))
+        canon.append((i, j, w))
+    canon.sort()
+    return (
+        int(n),
+        np.array([e[0] for e in canon], dtype=np.int64),
+        np.array([e[1] for e in canon], dtype=np.int64),
+        np.array([e[2] for e in canon], dtype=np.float64),
+    )
+
+
+def reference_load_dimacs(path):
+    """_load_dimacs as it was before graphs were built from arrays, verbatim
+    but for calling reference_graph."""
+    n = None
+    declared_m = None
+    edges = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
+                n, declared_m = (reference_dimacs_int(path, lineno, part) for part in parts[2:])
+                if n < 0 or declared_m < 0:
+                    raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
+            elif parts[0] == "e":
+                if n is None:
+                    raise GraphFormatError(f"{path}:{lineno}: edge before problem line")
+                if len(parts) != 3:
+                    raise GraphFormatError(f"{path}:{lineno}: malformed edge line")
+                i, j = (reference_dimacs_int(path, lineno, part) - 1 for part in parts[1:])
+                if not (0 <= i < n and 0 <= j < n):
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: node index out of range for n={n}"
+                    )
+                edges.append((i, j, 1.0))
+            else:
+                raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
+    if n is None:
+        raise GraphFormatError(f"{path}: missing problem line")
+    try:
+        g = reference_graph(n, edges)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    if declared_m is not None and len(g[3]) != declared_m:
+        raise GraphFormatError(
+            f"{path}: declared {declared_m} edges, found {len(g[3])}"
+        )
+    return g
+
+
+def reference_dimacs_int(path, lineno, field):
+    try:
+        return int(field)
+    except ValueError:
+        raise GraphFormatError(f"{path}:{lineno}: {field!r} is not an integer") from None
+
+
+def outcome(build, *args):
+    """("ok", n, ei, ej, w) for a graph or a reference tuple, else the
+    exception's type and message."""
+    try:
+        g = build(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    n, ei, ej, w = (g.n, g.ei, g.ej, g.w) if isinstance(g, Graph) else g
+    return "ok", n, ei, ej, w
+
+
+def assert_same_outcome(got, expected):
+    assert got[0] == expected[0] and len(got) == len(expected)
+    if got[0] != "ok":
+        assert got == expected
+        return
+    assert got[1] == expected[1] and type(got[1]) is int
+    for a, b in zip(got[2:], expected[2:]):
+        assert a.dtype == b.dtype
+        # bit for bit, so -0.0 and 0.0 weights differ
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+HUGE_IDS = st.sampled_from([2**63, 2**63 + 1, 2**64, 2**64 + 7, -(2**63) - 1])
+BAD_WEIGHTS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)])
+
+
+@st.composite
+def edge_lists(draw, max_n=40):
+    """(n, edges): a simple graph of 0-max_n nodes, each edge in either
+    orientation with a float or integer weight, and with probability 1/2 up
+    to three faults inserted: self-loops, reversed duplicates, negative ids,
+    ids of 2**63 or more, and NaN, inf or 10**400 weights."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    weight = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-5, 5)
+    edges = [((j, i) if draw(st.booleans()) else (i, j)) + (draw(weight),) for i, j in chosen]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            node = st.integers(0, max(n - 1, 0))
+            fault = draw(st.sampled_from(["loop", "duplicate", "negative", "huge", "weight"]))
+            if fault == "loop":
+                v = draw(node)
+                bad = (v, v, 1.0)
+            elif fault == "duplicate" and edges:
+                i, j, w = draw(st.sampled_from(edges))
+                bad = (j, i, w)
+            elif fault == "negative":
+                bad = (draw(st.integers(-3, -1)), draw(node), 1.0)
+            elif fault == "huge":
+                bad = (draw(node), draw(HUGE_IDS), 1.0)
+            else:
+                bad = (draw(node), draw(node), draw(BAD_WEIGHTS))
+            edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
 
 
 def brute_force_kings_edges(side):
@@ -147,6 +290,123 @@ def weighted_graphs(draw):
     weight = st.floats(allow_nan=False, allow_infinity=False)
     return Graph(g.n, [(j, i, draw(weight)) if draw(st.booleans()) else (i, j, draw(weight))
                        for i, j, _ in g.edges])
+
+
+class TestBadInputFailsByName:
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), "3", None])
+    def test_node_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="node count n must be an integer"):
+            Graph(n, [])
+
+    @pytest.mark.parametrize("edge", [
+        (0.5, 2, 1.0), (True, 2, 1.0), (0, np.float64(2.0), 1.0), (0, np.bool_(True), 1.0),
+        (0, 2, "2"), (0, 2, True), (0, 2, None), (0, 2), (0, 1, 2, 1.0),
+    ], ids=["id-float", "id-bool", "id-numpy-float", "id-numpy-bool", "weight-string",
+            "weight-bool", "weight-none", "two-items", "four-items"])
+    def test_edge_needs_integer_ids_and_a_real_weight(self, edge):
+        with pytest.raises(GraphFormatError, match=re.escape(f"got {edge!r}")):
+            Graph(3, [(0, 1, 1.0), edge])
+
+    def test_first_badly_typed_edge_is_named(self):
+        with pytest.raises(GraphFormatError, match=re.escape("got (1, 2.0, 1.0)")):
+            Graph(3, [(0, 0, 1.0), (1, 2.0, 1.0), (0.5, 1, 1.0)])
+
+    @pytest.mark.parametrize("side", [2.5, True, np.float64(3.0), "3"])
+    def test_kings_side_must_be_an_integer(self, side):
+        with pytest.raises(ValueError, match="side must be an integer"):
+            kings_graph(side)
+
+    @pytest.mark.parametrize("text,lineno,message", [
+        ("p edge 3 2\ne 1 2\ne 2 1\n", 3, "duplicate edge (0, 1)"),
+        ("c note\np edge 3 2\ne 1 2\n\n  e 2 2\n", 5, "self-loop on node 1"),
+        # a second problem line shrinks n below an edge read before it
+        ("p edge 5 1\ne 1 5\np edge 2 1\n", 2, "edge (0, 4) out of range for n=2"),
+    ], ids=["duplicate", "self-loop", "range-after-second-problem-line"])
+    def test_dimacs_structural_error_names_its_line(self, text, lineno, message, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(path)
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+
+
+class TestMatchesReference:
+    """Graph, both loaders and kings_graph give reference_graph's arrays, or
+    its exception and message; DIMACS structural errors add the line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_lists(), st.booleans())
+    @example((0, []), False)
+    @example((3, [(0, 1, 1.0), (2, 2**63, float("nan"))]), False)
+    @example((3, [(0, 1, 2**1024 - 2**970 - 1), (1, 2, 2**1024 - 2**970)]), False)
+    @example((np.int64(3), [(np.int32(2), np.uint8(0), np.float32(0.5)), (1, 2, 3)]), False)
+    @example((3, [(0, 1, np.float64("nan")), (1, 2, 10**400)]), False)
+    def test_constructor(self, case, numpy_ids):
+        n, edges = case
+        if numpy_ids:
+            edges = [(np.int64(i), np.int64(j), w) if max(abs(i), abs(j)) < 2**63 else (i, j, w)
+                     for i, j, w in edges]
+        assert_same_outcome(outcome(Graph, n, edges), outcome(reference_graph, n, edges))
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_json(self, tmp_path_factory, case):
+        n, edges = case
+        path = tmp_path_factory.mktemp("json") / "g.json"
+        path.write_text(json.dumps({"n": n, "edges": [list(edge) for edge in edges]}))
+        expected = outcome(reference_graph, n, edges)
+        if expected[0] != "ok":
+            expected = (expected[0], f"{path}: {expected[1]}")
+        assert_same_outcome(outcome(load_graph, path), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_dimacs(self, tmp_path_factory, case, data):
+        n, edges = case
+        lines = [f"p edge {n} {len(edges) + data.draw(st.sampled_from([0, 0, 1]))}"]
+        lines += [f"e {i + 1} {j + 1}" for i, j, _ in edges]
+        junk = ["c note", "", "x 1 2", "e 1", "e 1 y", "p edge 2", "p edge 2 1", "e 1 2"]
+        for line in data.draw(st.lists(st.sampled_from(junk), max_size=2)):
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        path = tmp_path_factory.mktemp("dimacs") / "g.col"
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(reference_load_dimacs, path)
+        structural = (expected[0] != "ok" and expected[1].startswith(f"{path}: ")
+                      and "declared" not in expected[1])
+        if structural:
+            # the first edge, in file order, whose prefix the reference rejects
+            read = [(lineno, line.split()) for lineno, line in enumerate(lines, start=1)]
+            n = int([parts for _, parts in read if parts[:1] == ["p"]][-1][2])
+            edge_lines = [(lineno, int(p[1]) - 1, int(p[2]) - 1) for lineno, p in read if p[:1] == ["e"]]
+            first = next(k for k in range(len(edge_lines)) if outcome(
+                reference_graph, n, [(i, j, 1.0) for _, i, j in edge_lines[:k + 1]])[0] != "ok")
+            expected = (expected[0], expected[1].replace(f"{path}: ", f"{path}:{edge_lines[first][0]}: ", 1))
+        assert_same_outcome(outcome(load_graph, path), expected)
+
+    @pytest.mark.parametrize("side", [*range(1, 21), np.int64(7)])
+    def test_kings(self, side):
+        edges = [(i, j, 1.0) for i, j in brute_force_kings_edges(side)]
+        assert_same_outcome(outcome(kings_graph, side), outcome(reference_graph, side * side, edges))
+
+    @settings(max_examples=50, deadline=None)
+    @given(weighted_graphs())
+    def test_saved_text(self, tmp_path_factory, g):
+        """save_graph writes the text of the per-edge writer it replaced."""
+        tmp = tmp_path_factory.mktemp("saved")
+        save_graph(g, tmp / "g.json")
+        assert (tmp / "g.json").read_text() == json.dumps(
+            {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}) + "\n"
+        unit = Graph(g.n, [(i, j, 1.0) for i, j, _ in g.edges])
+        save_graph(unit, tmp / "g.col")
+        assert (tmp / "g.col").read_text() == "\n".join(
+            [f"p edge {g.n} {g.edge_count}"] + [f"e {i + 1} {j + 1}" for i, j, _ in g.edges]) + "\n"
+
+    @pytest.mark.parametrize("ext", ["col", "json"])
+    def test_round_trip_kings_100(self, tmp_path, ext):
+        g = kings_graph(100)
+        assert g.edge_count == 39402
+        save_graph(g, tmp_path / f"k100.{ext}")
+        assert_same_outcome(outcome(load_graph, tmp_path / f"k100.{ext}"), outcome(kings_graph, 100))
 
 
 class TestKingsSide:
