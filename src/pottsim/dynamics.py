@@ -22,10 +22,10 @@ with t = tan(x / 2) (half_angle_sine): NumPy dispatches float64 tan to an
 AVX-512 SIMD kernel but runs float64 sin through scalar libm, about ten times
 slower per element. The half angle of the coupling term is the difference
 of half phases; that of the injection term is theta_i - phi_i, so its
-factor 2 disappears. The identity's 2 and the constants dt * coupling and
-dt * locking are folded into per-edge and per-node weights once per window.
-Each sine differs from NumPy's sin by at most 2 ulp (absolute error below
-4.5e-16, pinned by tests/test_kernel_contract.py), so trajectories differ
+factor 2 disappears. The constants dt * coupling and dt * locking are folded
+into per-edge and per-node weights once per window. Each sine differs from
+NumPy's sin by at most 2 ulp (absolute error below 4.5e-16, pinned by
+tests/test_kernel_contract.py), so trajectories differ
 from a sin-based kernel in the last bits only; the discrete outcomes stored
 in result files (partitions, colorings, accuracies) came out the same on
 every seed tested. The gain needs NumPy's AVX-512 dispatch: without it
@@ -41,6 +41,24 @@ on a phase moves no tangent. What differs is the rounding of the arguments,
 whose ulp grows with |theta|; inside the windows of the staged solve |theta|
 stayed below 13, far inside the [-1e3, 1e3] range the sine tolerance is
 pinned on.
+
+integrate carries the half phases h = theta / 2 through a window, in one flat
+(B * n) array, so the coupling term gathers its half angles without a
+per-step halving. With them go half weights: dt * coupling * w per edge,
+-dt * locking per enabled node and noise * sqrt(dt) / 2 for the noise. Each
+step then adds exactly half of the full-angle increment: a factor of two
+commutes with rounding for normal floats, so every weighted sine, bincount
+sum and updated phase is exactly half of its full-angle value, and h + h
+gives theta back bit for bit. The injection term takes the tangent of
+(h + h) - phi, which is theta - phi exactly. Subnormal values (below
+2.2e-308) are the one exception, and none arise from phases in [0, 2*pi)
+with weights of ordinary size. tests/test_kernel_contract.py keeps the
+full-angle loop and pins integrate to it bit for bit.
+
+Noise is drawn ahead in blocks of whole steps and kept step-major, one row
+of B * n values per step, so a step adds its noise with one contiguous add.
+Each generator draws its block into a contiguous (block, n) scratch, which
+is copied into that iteration's columns.
 """
 
 from __future__ import annotations
@@ -70,7 +88,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # Noise is drawn ahead in blocks of whole steps for all iterations at once:
-# at most this many bytes of float64, or one step's worth if that is larger.
+# the block and one generator's scratch take at most this many bytes of
+# float64, or one step's worth if that is larger.
 NOISE_BLOCK_BYTES = 1024 * 1024
 
 
@@ -253,12 +272,14 @@ def integrate(
     are compacted once, in (iteration, edge) order, into flat node indices
     of the (B * n) array, so np.bincount adds each node's torques in the
     same order as for a single row, and drawing c * n normals from a
-    generator gives the same values as c draws of n. At the same place each
-    gated edge weight is multiplied by 2 * dt * coupling and each enabled
-    node gets the lock weight -2 * dt * locking (0 elsewhere), so a step adds
-    the half-angle sines without further scaling. Each noise block is scaled
-    by noise * sqrt(dt) once when drawn, the same products as scaling per
-    step.
+    generator gives the same values as c draws of n, so the block size
+    changes no draw. At the same place each gated edge weight is multiplied
+    by dt * coupling and each enabled node gets the lock weight
+    -dt * locking (0 elsewhere), so a step adds the half-angle sines to the
+    half phases without further scaling. Each noise block is scaled by
+    noise * sqrt(dt) / 2 once when drawn, the same products as scaling per
+    step. Carrying half phases changes no rounding (see the module
+    docstring): the result is that of the full-angle loop, bit for bit.
     """
     phases = np.array(phases, dtype=np.float64, ndmin=2)
     if phases.ndim != 2 or phases.shape[1] != graph.n:
@@ -274,54 +295,58 @@ def integrate(
     iteration, edge = np.nonzero(active)
     ei = graph.ei[edge] + n * iteration
     ej = graph.ej[edge] + n * iteration
-    # the identity's factor 2 and dt times each strength, folded in once;
-    # the lock weight is negative because injection pulls toward phi
-    edge_w = (2.0 * params.dt * params.coupling) * graph.w[edge]
+    # dt times each strength, folded in once; these weights step the half
+    # phases, so they are half of theta's. The lock weight is negative
+    # because injection pulls toward phi
+    edge_w = (params.dt * params.coupling) * graph.w[edge]
     lock_w = None
     if params.locking > 0.0 and np.any(shil.enabled):
-        lock_w = np.where(shil.enabled, -2.0 * params.dt * params.locking, 0.0)
+        lock_w = np.where(shil.enabled, -params.dt * params.locking, 0.0)
         select = np.where(shil.enabled, shil.select, 0.0)
-    noisy = params.noise > 0.0
-    if noisy:
-        noise_scale = params.noise * math.sqrt(params.dt)
+        lock_w, select = (np.broadcast_to(a, (batch, n)).reshape(-1) for a in (lock_w, select))
+    # step-major noise: row j holds step j's noise for all B * n phases
+    noise_buf, block = None, max(n_steps, 1)
+    if params.noise > 0.0:
+        half_scale = 0.5 * (params.noise * math.sqrt(params.dt))
         if xi is not None:
-            noise_buf, block = noise_scale * xi, max(n_steps, 1)
+            noise_buf = (half_scale * xi).swapaxes(0, 1).reshape(n_steps, batch * n)
         elif rngs is None:
             raise ValueError("noise > 0 requires an rng or explicit xi")
         elif len(rngs) != batch:
             raise ValueError(f"got {len(rngs)} rngs for {batch} phase rows")
         else:
-            block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * batch * n)))
-            noise_buf = np.empty((batch, block, n))
-    for k in range(n_steps):
-        if recorder is not None:
-            recorder.record(PhaseState(phases[0], time), k)
-        # both drift terms are taken from the phases at the start of the step
-        drift = None
-        if len(edge_w):
-            half = 0.5 * phases.reshape(-1)
-            s = half_angle_sine(half[ei] - half[ej], edge_w)
-            drift = np.bincount(ei, weights=s, minlength=batch * n)
-            drift -= np.bincount(ej, weights=s, minlength=batch * n)
-            drift = drift.reshape(batch, n)
-        if lock_w is not None:
-            lock = half_angle_sine(phases - select, lock_w)
-            if drift is None:
-                drift = lock
-            else:
-                drift += lock
-        if drift is not None:
-            phases += drift
-        if noisy:
-            j = k % block
-            if j == 0 and xi is None:
-                c = min(block, n_steps - k)
-                for b, rng in enumerate(rngs):
-                    rng.standard_normal(out=noise_buf[b, :c])
-                noise_buf[:, :c] *= noise_scale
-            phases += noise_buf[:, j]
-        time += params.dt
-    phases = wrap_phases(phases)
+            block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * (batch + 1) * n)))
+            noise_buf = np.empty((block, batch * n))
+            draws = np.empty((block, n))
+    half = 0.5 * phases.reshape(-1)  # h = theta / 2, exact
+    for start in range(0, n_steps, block):
+        c = min(block, n_steps - start)
+        if noise_buf is not None and xi is None:
+            for b, rng in enumerate(rngs):
+                rng.standard_normal(out=draws[:c])
+                noise_buf[:c, b * n:(b + 1) * n] = draws[:c]
+            noise_buf[:c] *= half_scale
+        for j in range(c):
+            if recorder is not None:
+                recorder.record(PhaseState(half[:n] + half[:n], time), start + j)
+            # both drift terms are taken from the phases at the start of the step
+            drift = None
+            if len(edge_w):
+                s = half_angle_sine(half[ei] - half[ej], edge_w)
+                drift = np.bincount(ei, weights=s, minlength=batch * n)
+                drift -= np.bincount(ej, weights=s, minlength=batch * n)
+            if lock_w is not None:
+                lock = half_angle_sine((half + half) - select, lock_w)
+                if drift is None:
+                    drift = lock
+                else:
+                    drift += lock
+            if drift is not None:
+                half += drift
+            if noise_buf is not None:
+                half += noise_buf[j]
+            time += params.dt
+    phases = wrap_phases((half + half).reshape(batch, n))
     if recorder is not None:
         recorder.record(PhaseState(phases[0], time), n_steps)
     return phases, time

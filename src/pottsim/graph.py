@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 FORMATS = ("dimacs_col", "json_edges")
+# node ids are int64, so a node count must fit in one
+MAX_NODE_COUNT = 2**63 - 1
 
 
 class GraphFormatError(ValueError):
@@ -104,6 +106,8 @@ def _node_count(n) -> int:
         raise ValueError(f"node count n must be an integer (not bool), got {n!r}")
     if n < 0:
         raise ValueError("node count must be nonnegative")
+    if n > MAX_NODE_COUNT:
+        raise ValueError(f"node count n must be at most 2**63 - 1 (int64), got {n}")
     return int(n)
 
 
@@ -316,11 +320,17 @@ def _read_dimacs(path, check_edges: bool = False) -> tuple[int, int, list[str]]:
                         )
                 edge_parts += parts
             elif parts[0] == "p":
+                if n is not None:
+                    raise GraphFormatError(f"{path}:{lineno}: second problem line")
                 if len(parts) != 4 or parts[1] != "edge":
                     raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
                 n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
                 if n < 0 or declared_m < 0:
                     raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
+                if n > MAX_NODE_COUNT:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: node count must be at most 2**63 - 1 (int64), got {n}"
+                    )
             else:
                 raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
     if n is None:
@@ -352,8 +362,10 @@ def _load_json(path) -> Graph:
     if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("edges"), list):
         raise GraphFormatError(f'{path}: expected {{"n": int, "edges": [...]}}')
     # json.load gives bool for true/false, never another int subclass
-    if type(doc["n"]) is not int or doc["n"] < 0:
-        raise GraphFormatError(f'{path}: "n" must be a nonnegative integer, got {doc["n"]!r}')
+    if type(doc["n"]) is not int or not 0 <= doc["n"] <= MAX_NODE_COUNT:
+        raise GraphFormatError(
+            f'{path}: "n" must be an integer from 0 to 2**63 - 1 (int64), got {doc["n"]!r}'
+        )
     rows = doc["edges"]
     good = _mask(list(map(type, rows)), lambda kind: kind is list)
     shaped, i, j, last = _columns(list(compress(rows, good)), (2, 3))

@@ -319,9 +319,7 @@ class TestBadInputFailsByName:
     @pytest.mark.parametrize("text,lineno,message", [
         ("p edge 3 2\ne 1 2\ne 2 1\n", 3, "duplicate edge (0, 1)"),
         ("c note\np edge 3 2\ne 1 2\n\n  e 2 2\n", 5, "self-loop on node 1"),
-        # a second problem line shrinks n below an edge read before it
-        ("p edge 5 1\ne 1 5\np edge 2 1\n", 2, "edge (0, 4) out of range for n=2"),
-    ], ids=["duplicate", "self-loop", "range-after-second-problem-line"])
+    ], ids=["duplicate", "self-loop"])
     def test_dimacs_structural_error_names_its_line(self, text, lineno, message, tmp_path):
         path = tmp_path / "g.col"
         path.write_text(text)
@@ -329,10 +327,45 @@ class TestBadInputFailsByName:
             load_graph(path)
         assert str(info.value) == f"{path}:{lineno}: {message}"
 
+    @pytest.mark.parametrize("text", [
+        # a second problem line would shrink n below an edge read before it
+        "p edge 5 1\ne 1 5\np edge 2 1\n",
+        # or grow the graph past the one its edges were read for
+        "p edge 2 1\ne 1 2\np edge 9 1\n",
+    ], ids=["shrinks-n", "grows-n"])
+    def test_dimacs_second_problem_line_names_its_line(self, text, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(path)
+        assert str(info.value) == f"{path}:3: second problem line"
+
+    @pytest.mark.parametrize("n", [2**63, 2**64, 10**30, np.uint64(2**64 - 1)])
+    def test_node_count_beyond_int64(self, n):
+        with pytest.raises(ValueError, match=re.escape("node count n must be at most 2**63 - 1")):
+            Graph(n, [])
+
+    @pytest.mark.parametrize("n", [2**63, 2**64])
+    def test_dimacs_node_count_beyond_int64(self, n, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_text(f"c big\np edge {n} 0\n")
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(path)
+        assert str(info.value) == (
+            f"{path}:2: node count must be at most 2**63 - 1 (int64), got {n}")
+
+    @pytest.mark.parametrize("ext", ["col", "json"])
+    def test_largest_node_count_loads(self, ext, tmp_path):
+        path = tmp_path / f"g.{ext}"
+        path.write_text(f"p edge {2**63 - 1} 0\n" if ext == "col"
+                        else json.dumps({"n": 2**63 - 1, "edges": []}))
+        assert load_graph(path).n == Graph(2**63 - 1, []).n == 2**63 - 1
+
 
 class TestMatchesReference:
     """Graph, both loaders and kings_graph give reference_graph's arrays, or
-    its exception and message; DIMACS structural errors add the line."""
+    its exception and message; DIMACS structural errors add the line, and a
+    second DIMACS problem line is an error of its own."""
 
     @settings(max_examples=400, deadline=None)
     @given(edge_lists(), st.booleans())
@@ -369,6 +402,17 @@ class TestMatchesReference:
         for line in data.draw(st.lists(st.sampled_from(junk), max_size=2)):
             lines.insert(data.draw(st.integers(0, len(lines))), line)
         path = tmp_path_factory.mktemp("dimacs") / "g.col"
+        problem_lines = [k for k, line in enumerate(lines) if line.split()[:1] == ["p"]]
+        if len(problem_lines) > 1:
+            # the reader stops at a second problem line, unless a line before it fails
+            second = problem_lines[1]
+            path.write_text("\n".join(lines[:second]) + "\n")
+            expected = outcome(reference_load_dimacs, path)
+            path.write_text("\n".join(lines) + "\n")
+            if expected[0] == "ok" or not re.match(rf"{re.escape(str(path))}:\d+: ", expected[1]):
+                expected = (GraphFormatError, f"{path}:{second + 1}: second problem line")
+            assert_same_outcome(outcome(load_graph, path), expected)
+            return
         path.write_text("\n".join(lines) + "\n")
         expected = outcome(reference_load_dimacs, path)
         structural = (expected[0] != "ok" and expected[1].startswith(f"{path}: ")
@@ -536,14 +580,16 @@ class TestFileIO:
         {"n": 2.5, "edges": [[0, 1]]},
         {"n": True, "edges": []},
         {"n": -1, "edges": []},
+        {"n": 2**63, "edges": []},
+        {"n": 2**64, "edges": []},
         {"n": 3, "edges": 5},
         {"n": 3, "edges": [["a", 1]]},
         {"n": 3, "edges": [[0.5, 1]]},
         {"n": 3, "edges": [[0, 1, "2"]]},
         {"n": 3, "edges": [[0, 1, True]]},
         {"n": 3, "edges": [[0, 1, 10**400]]},
-    ], ids=["n-string", "n-float", "n-bool", "n-negative", "edges-not-a-list",
-            "id-string", "id-float", "weight-string", "weight-bool", "weight-beyond-float"])
+    ], ids=["n-string", "n-float", "n-bool", "n-negative", "n-2**63", "n-2**64",
+            "edges-not-a-list", "id-string", "id-float", "weight-string", "weight-bool", "weight-beyond-float"])
     def test_json_wrong_type_names_file(self, doc, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))

@@ -9,6 +9,11 @@ noiseless step to within 1e-14, bit-identical rows regardless of batch
 size, and the same accuracy distribution over many seeds. The reference
 also wraps the phases after every step, where integrate wraps once per
 window; a 200-step window stays within 1e-12 of it.
+
+integrate carries half phases and keeps its noise in step-major rows. That
+changes no rounding at all, so full_angle_integrate keeps the full-angle
+loop it replaced, and integrate must match it bit for bit: phases, clock,
+recorder samples and generator states.
 """
 
 import math
@@ -18,13 +23,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pottsim import scheduler
+from pottsim import dynamics, scheduler
 from pottsim.dynamics import (
     NOISE_BLOCK_BYTES,
     CouplingGate,
     DynamicsParams,
     PhaseState,
     ShilConfig,
+    TrajectoryRecorder,
     half_angle_sine,
     integrate,
     wrap_phases,
@@ -90,6 +96,67 @@ def reference_integrate(phases, n_steps, graph, gate, shil, params, rngs=None, x
             phases += noise_scale * noise_buf[:, j]
         phases = wrap_phases(phases)
         time += params.dt
+    if recorder is not None:
+        recorder.record(PhaseState(phases[0], time), n_steps)
+    return phases, time
+
+
+def full_angle_integrate(phases, n_steps, graph, gate, shil, params, rngs=None, xi=None,
+                         recorder=None, time=0.0):
+    """Reference: integrate as it was before it carried half phases.
+
+    It steps the full angles of a (B, n) array, takes the half angles of the
+    coupling term each step, folds the identity's factor 2 into the weights,
+    and keeps each iteration's noise block contiguous, (B, block, n), reading
+    a strided (B, n) slice per step. A noise block holds at most
+    dynamics.NOISE_BLOCK_BYTES, read at call time so that tests can shrink it.
+    """
+    phases = np.array(phases, dtype=np.float64, ndmin=2)
+    batch, n = phases.shape
+    iteration, edge = np.nonzero(np.broadcast_to(gate.active, (batch, graph.edge_count)))
+    ei = graph.ei[edge] + n * iteration
+    ej = graph.ej[edge] + n * iteration
+    edge_w = (2.0 * params.dt * params.coupling) * graph.w[edge]
+    lock_w = None
+    if params.locking > 0.0 and np.any(shil.enabled):
+        lock_w = np.where(shil.enabled, -2.0 * params.dt * params.locking, 0.0)
+        select = np.where(shil.enabled, shil.select, 0.0)
+    noisy = params.noise > 0.0
+    if noisy:
+        noise_scale = params.noise * math.sqrt(params.dt)
+        if xi is not None:
+            noise_buf, block = noise_scale * xi, max(n_steps, 1)
+        else:
+            block = max(1, min(n_steps, dynamics.NOISE_BLOCK_BYTES // (8 * batch * n)))
+            noise_buf = np.empty((batch, block, n))
+    for k in range(n_steps):
+        if recorder is not None:
+            recorder.record(PhaseState(phases[0], time), k)
+        drift = None
+        if len(edge_w):
+            half = 0.5 * phases.reshape(-1)
+            s = half_angle_sine(half[ei] - half[ej], edge_w)
+            drift = np.bincount(ei, weights=s, minlength=batch * n)
+            drift -= np.bincount(ej, weights=s, minlength=batch * n)
+            drift = drift.reshape(batch, n)
+        if lock_w is not None:
+            lock = half_angle_sine(phases - select, lock_w)
+            if drift is None:
+                drift = lock
+            else:
+                drift += lock
+        if drift is not None:
+            phases += drift
+        if noisy:
+            j = k % block
+            if j == 0 and xi is None:
+                c = min(block, n_steps - k)
+                for b, rng in enumerate(rngs):
+                    rng.standard_normal(out=noise_buf[b, :c])
+                noise_buf[:, :c] *= noise_scale
+            phases += noise_buf[:, j]
+        time += params.dt
+    phases = wrap_phases(phases)
     if recorder is not None:
         recorder.record(PhaseState(phases[0], time), n_steps)
     return phases, time
@@ -241,6 +308,77 @@ class TestRowIndependence:
                                  ShilConfig(shil.enabled[b], shil.select[b]),
                                  params, xi=xi[b:b + 1])
             assert np.array_equal(together[b].view(np.int64), alone[0].view(np.int64))
+
+
+def traced_run(kernel, phases, n_steps, graph, gate, shil, params, source, seed):
+    """A window run by kernel: its phases and recorder samples as int64 bits,
+    its clock and sample times, and the generators' states afterwards. Noise
+    comes from one generator per row (source "rngs") or from xi ("xi")."""
+    rngs = xi = None
+    if source == "rngs":
+        rngs = [np.random.default_rng([seed, b]) for b in range(len(phases))]
+    else:
+        xi = np.random.default_rng(seed).standard_normal((len(phases), n_steps, graph.n))
+    recorder = TrajectoryRecorder(sample_every=4)
+    got, t = kernel(phases, n_steps, graph, gate, shil, params, rngs=rngs, xi=xi,
+                    recorder=recorder, time=0.25)
+    return (got.view(np.int64), t, [sample.view(np.int64) for sample in recorder.samples],
+            recorder.times, [rng.bit_generator.state for rng in rngs or []])
+
+
+def assert_same_run(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert len(got[2]) == len(want[2])
+    assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+    assert got[3] == want[3]
+    assert got[4] == want[4]
+
+
+class TestHalfPhases:
+    """integrate matches the full-angle loop bit for bit.
+
+    Halving a normal float is exact, so the half phases, weights and noise
+    are exactly half of the full-angle values and h + h gives back theta.
+    The phases and weights are uniform draws: hypothesis favours tiny values,
+    whose products can be subnormal, where halving rounds.
+    """
+
+    @pytest.mark.parametrize("block_steps", [None, 5], ids=["one-block", "blocks-of-5"])
+    @pytest.mark.parametrize("source", ["rngs", "xi"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind", ["free", "anneal", "lock"])
+    def test_schedule_windows(self, kind, batch, source, block_steps, monkeypatch):
+        # the windows of a stage-2 solve, on a King's graph with random weights
+        rng = np.random.default_rng(batch)
+        kings = kings_graph(4)
+        graph = Graph(kings.n, [(i, j, rng.uniform(0.5, 1.5)) for i, j, _ in kings.edges])
+        phases = rng.uniform(0.0, TWO_PI, (batch, graph.n))
+        groups = rng.integers(0, 2, (batch, graph.n))
+        gate, shil = CouplingGate.all_off(graph), ShilConfig.off(graph.n)
+        if kind != "free":
+            gate = scheduler.gate_couplings(graph, groups)
+        if kind == "lock":
+            shil = scheduler.assign_shil(groups, 2)
+        params = DynamicsParams(noise=0.1 if kind == "free" else 0.05)
+        if block_steps is not None:
+            # 37 steps are not a multiple of either kernel's block
+            monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES",
+                                8 * (batch + 1) * graph.n * block_steps)
+        args = (phases, 37, graph, gate, shil, params, source, 7)
+        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(windows(), st.sampled_from([0.0, 2.5]), st.sampled_from([0.0, 0.5]),
+           st.sampled_from(["rngs", "xi"]), st.integers(0, 2**32 - 1))
+    def test_random_windows(self, window, locking, noise, source, seed):
+        graph, phases, gate, shil = window
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0.0, TWO_PI, phases.shape)
+        graph = Graph(graph.n, [(i, j, rng.uniform(-2.0, 2.0)) for i, j, _ in graph.edges])
+        params = DynamicsParams(coupling=1.0, locking=locking, noise=noise, dt=0.01)
+        args = (phases, 30, graph, gate, shil, params, source, seed)
+        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
 
 
 class TestStatisticalEquivalence:
