@@ -64,6 +64,7 @@ is copied into that iteration's columns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,8 +260,10 @@ def integrate(
     gate and lock reference per iteration. Noise for row b comes from rngs[b]
     unless xi (shape (B, n_steps, n)) is given. Returns the new phases,
     wrapped into [0, 2*pi), and the clock, advanced by dt per step. The
-    recorder samples row 0. A shape that does not fit, a negative n_steps or
-    a count of rngs other than B (with noise on and no xi) raises ValueError.
+    recorder samples row 0. A shape that does not fit, an n_steps that is
+    not a nonnegative integer or a count of rngs other than B (with noise
+    on and no xi) raises ValueError. With n = 0 nothing is drawn and only
+    the clock moves.
 
     The phases are wrapped once per window, at its end: the drift is
     2*pi-periodic in every phase (both tangents have period pi in their
@@ -284,6 +287,8 @@ def integrate(
     phases = np.array(phases, dtype=np.float64, ndmin=2)
     if phases.ndim != 2 or phases.shape[1] != graph.n:
         raise ValueError(f"phases have shape {phases.shape}, need (B, {graph.n})")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     batch, n = phases.shape
@@ -315,7 +320,7 @@ def integrate(
         elif len(rngs) != batch:
             raise ValueError(f"got {len(rngs)} rngs for {batch} phase rows")
         else:
-            block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * (batch + 1) * n)))
+            block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * (batch + 1) * max(n, 1))))
             noise_buf = np.empty((block, batch * n))
             draws = np.empty((block, n))
     half = 0.5 * phases.reshape(-1)  # h = theta / 2, exact
@@ -388,16 +393,26 @@ def evolve(
     recorder: TrajectoryRecorder | None = None,
 ) -> PhaseState:
     """Integrate for ceil(duration / dt) steps; deterministic given the seed."""
-    if not 0 <= duration < math.inf:  # NaN fails both comparisons
-        raise ValueError("duration must be nonnegative and finite")
+    n_steps = step_count(duration, params.dt)
     params.check_stability(graph)
     phases, t = integrate(
-        state.phases, step_count(duration, params.dt), graph, gate, shil, params,
+        state.phases, n_steps, graph, gate, shil, params,
         rngs=None if rng is None else [rng], recorder=recorder, time=state.time,
     )
     return PhaseState(phases[0], time=t)
 
 
 def step_count(duration: float, dt: float) -> int:
-    """Steps in a window of the given duration: ceil(duration / dt)."""
-    return math.ceil(duration / dt - 1e-12)
+    """Steps in a window of the given duration: ceil(duration / dt).
+
+    duration must be finite and >= 0, dt finite and > 0, and their ratio
+    finite; otherwise a ValueError names the argument at fault.
+    """
+    if not 0 <= duration < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"duration must be nonnegative and finite, got {duration!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    steps = duration / dt
+    if steps == math.inf:
+        raise ValueError(f"duration / dt overflows: {duration!r} / {dt!r}")
+    return math.ceil(steps - 1e-12)

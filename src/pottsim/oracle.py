@@ -8,13 +8,15 @@ each node sees. Its node order and witnesses match those of the
 list-and-set search that tests/test_oracle.py keeps as a reference.
 
 brute_force_maxcut searches all partitions (n <= 24) and returns bit for
-bit what a plain edge-by-edge enumeration returns. For integer weights,
-whose scores are exact in any order, it works by meet in the middle: the
-free nodes split into two halves, and one matrix product scores every
-pairing of half-labelings in a block. Other weights are summed edge by
-edge. The King's-graph closed forms give a constructive proper
-4-coloring and the best-known (row-stripe) cut value. cut_baseline picks
-the max-cut normalizer that cut accuracies are reported against.
+bit what a plain edge-by-edge enumeration returns. It works by meet in
+the middle for every weight type: the free nodes split into two halves,
+and one matrix product scores every pairing of half-labelings in a block.
+Integer scores are exact, so each block's first maximum is the answer.
+Real-weight scores are screened with a rounding-error bound, and only the
+masks within it of the best score so far are re-summed edge by edge. The
+King's-graph closed forms give a constructive proper 4-coloring and the
+best-known (row-stripe) cut value. cut_baseline picks the max-cut
+normalizer that cut accuracies are reported against.
 """
 
 from __future__ import annotations
@@ -107,37 +109,23 @@ def constructive_kings_coloring(side: int) -> list[int]:
     return [2 * (r % 2) + (c % 2) for r in range(side) for c in range(side)]
 
 
-def _edge_order_blocks(graph: Graph):
-    """Yield (first mask, cuts of the next 2^16 masks), each cut summed over
-    the edges in order from 0.0: the value brute_force_maxcut reports.
-
-    Mask bit b puts node b+1 on side 1; node 0 stays on side 0.
-    """
-    n_masks = 1 << (graph.n - 1)
-    for first in range(0, n_masks, 1 << 16):
-        masks = np.arange(first, min(first + (1 << 16), n_masks))
-        cuts = np.zeros(len(masks))
-        for i, j, w in zip(graph.ei - 1, graph.ej - 1, graph.w):
-            bi = (masks >> i) & 1 if i >= 0 else 0
-            bj = (masks >> j) & 1
-            cuts += w * (bi != bj)
-        yield first, cuts
-
-
 def _bit_table(width: int) -> np.ndarray:
     """Row r holds the width low bits of r as 0.0/1.0."""
     return ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1).astype(np.float64)
 
 
-def _matrix_blocks(graph: Graph):
-    """Yield (first mask, cuts of the next 2^16 masks) by meet in the middle.
+def _score_blocks(graph: Graph):
+    """Yield (first mask, product scores of the next 2^16 masks).
 
-    The free nodes split into a low half (mask bits below `lo`) and a high
-    half. With x the 0/1 labels the cut is sum_e w_e (x_i + x_j - 2 x_i x_j),
-    so with A and B the bit tables of the halves and Q the weights between
-    them, a block scores as b_part[:, None] + a_part[None, :] - (B Q) @ A.T,
-    one matrix product. Row r, column c is mask first + r * 2^lo + c, so the
-    flat index of a score is its offset from the block's first mask.
+    Mask bit b puts node b+1 on side 1; node 0 stays on side 0. The free
+    nodes split into a low half (mask bits below `lo`) and a high half.
+    With x the 0/1 labels the cut is sum_e w_e (x_i + x_j - 2 x_i x_j), so
+    with A and B the bit tables of the halves and Q the weights between
+    them, the masks of high-half rows h.. score as
+    b_part[:, None] + a_part[None, :] - (B Q) @ A.T. That is one matrix
+    product, left[h:] @ right, with left = [-(B Q), 1, b_part] and
+    right = [A.T; a_part; 1]. Row r, column c is mask first + r * 2^lo + c,
+    so in the flattened block a score's index is its offset from first.
     """
     free = graph.n - 1
     lo = free // 2
@@ -152,10 +140,59 @@ def _matrix_blocks(graph: Graph):
     quad[si[inner], sj[inner]] = 2.0 * w[inner]
     a_part = a_bits @ linear[:lo] - ((a_bits @ quad[:lo, :lo]) * a_bits).sum(axis=1)
     b_part = b_bits @ linear[lo:] - ((b_bits @ quad[lo:, lo:]) * b_bits).sum(axis=1)
-    cross = b_bits @ quad[:lo, lo:].T
+    left = np.column_stack([-(b_bits @ quad[:lo, lo:].T), np.ones(len(b_bits)), b_part])
+    right = np.vstack([a_bits.T, a_part, np.ones(len(a_bits))])
     rows = max(1, (1 << 16) >> lo)
     for h in range(0, len(b_bits), rows):
-        yield h << lo, b_part[h:h + rows, None] + a_part[None, :] - cross[h:h + rows] @ a_bits.T
+        yield h << lo, (left[h:h + rows] @ right).reshape(-1)
+
+
+def _edge_order_cuts(graph: Graph, masks: np.ndarray) -> np.ndarray:
+    """Cut of each mask summed over the edges in order from 0.0: the value
+    brute_force_maxcut reports."""
+    cuts = np.zeros(len(masks))
+    for i, j, w in zip(graph.ei - 1, graph.ej - 1, graph.w):
+        bi = (masks >> i) & 1 if i >= 0 else 0
+        bj = (masks >> j) & 1
+        cuts += w * (bi != bj)
+    return cuts
+
+
+def _gamma(terms: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for float64, u = 2^-53."""
+    ku = terms * 2.0**-53
+    return ku / (1.0 - ku)
+
+
+def _best_mask(graph: Graph) -> tuple[float, int]:
+    """brute_force_maxcut's (best cut, smallest mask reaching it)."""
+    w = graph.w
+    total = float(np.abs(w).sum())
+    exact = bool(np.all(w == np.round(w))) and 4.0 * total < 2.0**53
+    margin = math.inf
+    if math.isfinite(16.0 * total):
+        eps = 4.0 * _gamma(2 * (graph.n**2 + 2 * len(w))) + _gamma(2 * len(w))
+        margin = 2.0 * eps * total + 5e-324
+    best_cut, best_mask, top = -1.0, 0, -math.inf
+    for first, scores in _score_blocks(graph):
+        if exact:
+            k = int(np.argmax(scores))
+            # + 0.0 turns a -0.0 that BLAS may return into the sum's 0.0
+            cut, mask = float(scores[k]) + 0.0, first + k
+        else:
+            if margin < math.inf:
+                top = max(top, float(scores.max()))
+                keep = np.flatnonzero(top - scores <= margin)
+            else:
+                keep = np.arange(len(scores))
+            if not len(keep):
+                continue
+            cuts = _edge_order_cuts(graph, first + keep)
+            k = int(np.argmax(cuts))
+            cut, mask = float(cuts[k]), first + int(keep[k])
+        if cut > best_cut:
+            best_cut, best_mask = cut, mask
+    return best_cut, best_mask
 
 
 def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
@@ -166,25 +203,49 @@ def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
     smallest mask that reaches it), the weight summed over the edges in
     order from 0.0, exactly as a plain edge-by-edge enumeration reports it.
 
-    Integer weights whose absolute sum S has 4 S < 2^53 score by meet in
-    the middle (_matrix_blocks). Every such score is a sum of terms w_e and
-    -2 w_e whose partial sums stay below 2^53 in magnitude, so it is exact
-    in any order and equals the edge-order sum, and each block's first
-    maximum is the enumeration's. Other weights are summed edge by edge.
+    Every block of 2^16 masks is scored by one matrix product
+    (_score_blocks). A score p is the floating-point sum, in some order, of
+    the terms w_e x_i, w_e x_j and -2 w_e x_i x_j of the cut, each exact.
+    With S the sum of |w_e|:
+
+    - Integer weights with 4 S < 2^53: every partial sum is an integer
+      below 2^53, so p is exact in any order and equals the edge-order
+      sum. Each block's first maximum is the enumeration's.
+    - Other weights: only masks that may reach the edge-order maximum are
+      re-summed edge by edge. Higham's bound for a sum of L terms in any
+      order, |fl(sum x) - sum x| <= gamma_(L-1) sum |x| with
+      gamma_k = k u / (1 - k u), bounds both errors against the exact
+      cut v. A score sums at most n^2 + 2E terms, each a weight times
+      0/1 bits and so exact, counting every product with a zero bit:
+      lo*hi in B Q, lo^2 + hi^2 in the in-half quadratic parts, and in the
+      linear parts one 0.0 start per free node and one weight per edge
+      endpoint. Their absolute values add up to at most 4 S, so
+      |p - v| <= eps_g = gamma_(n^2 + 2E) 4 S. The edge-order sum s adds
+      E terms to 0.0 with absolute sum at most S, so
+      |s - v| <= eps_v = gamma_E S. If P is the largest score so far and
+      m* the enumeration's mask, p(m*) >= s(m*) - eps_v - eps_g and
+      P <= max s + eps_v + eps_g = s(m*) + eps_v + eps_g, so m* keeps
+      P - p(m*) <= 2 (eps_g + eps_v). The screen keeps every mask that
+      passes that test against the running P (never above the final P)
+      and re-sums only those, per block; of the re-summed masks the
+      largest sum and, on a tie, the smallest mask win, as in the
+      enumeration. Both gammas are taken at twice their term counts,
+      which covers the rounding of S and of the margin itself, and the
+      smallest subnormal added to the margin covers its underflow. Since
+      rounding is monotone, comparing the rounded P - p with a margin at
+      least as large never drops a mask the exact test keeps.
+    - If 16 S overflows, a score may overflow too and the bound says
+      nothing: every mask is re-summed, one block at a time, which is the
+      enumeration itself.
     """
     if graph.n > 24:
         raise ValueError(f"brute force capped at 24 nodes, got {graph.n}")
     if graph.n == 0:
         return 0.0, np.zeros(0, dtype=np.int64)
-    w = graph.w
-    exact = bool(np.all(w == np.round(w))) and 4.0 * float(np.abs(w).sum()) < 2.0**53
-    best_cut, best_mask = -1.0, 0
-    for first, cuts in (_matrix_blocks if exact else _edge_order_blocks)(graph):
-        k = int(np.argmax(cuts))
-        # + 0.0 turns a -0.0 that BLAS may return into the sum's 0.0
-        cut = float(cuts.flat[k]) + 0.0
-        if cut > best_cut:
-            best_cut, best_mask = cut, first + k
+    # weights near the float limit overflow S and the scores; every mask is
+    # then re-summed, and its sum overflows just as the enumeration's does
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_cut, best_mask = _best_mask(graph)
     labels = np.zeros(graph.n, dtype=np.int64)
     labels[1:] = (best_mask >> np.arange(graph.n - 1)) & 1
     return best_cut, labels

@@ -16,6 +16,7 @@ from pottsim.dynamics import (
     integrate,
     random_init,
     step,
+    step_count,
     wrap_phases,
 )
 from pottsim.graph import Graph, kings_graph
@@ -233,10 +234,80 @@ class TestIntegrateChecks:
         with pytest.raises(ValueError, match=match):
             self.run(**kwargs)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 5.0, "5", True, None], ids=repr)
+    def test_rejects_non_integer_steps(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            self.run(n_steps=n_steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        phases, time = self.run(n_steps=np.int64(5), rngs=[rng_for(s) for s in range(3)])
+        assert phases.shape == (3, K3.n)
+        assert time == pytest.approx(5 * DynamicsParams().dt)
+
     def test_step_rejects_short_xi(self):
         gate, shil = free_config(EDGE)
         with pytest.raises(ValueError, match="xi"):
             step(PhaseState(np.zeros(2)), EDGE, gate, shil, DynamicsParams(), xi=[1.0])
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("duration,dt,steps", [
+        (0.0, 0.01, 0), (1.0, 0.01, 100), (0.015, 0.01, 2), (7.0, 0.5, 14),
+    ])
+    def test_counts(self, duration, dt, steps):
+        assert step_count(duration, dt) == steps
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejects_bad_duration(self, duration):
+        with pytest.raises(ValueError, match="duration must be nonnegative and finite"):
+            step_count(duration, 0.01)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step_count(1.0, dt)
+
+    def test_rejects_a_count_that_overflows(self):
+        with pytest.raises(ValueError, match="duration / dt overflows"):
+            step_count(1e308, 1e-10)
+
+
+class TestZeroNodes:
+    """With no oscillators a window only advances the clock, noise or not."""
+
+    EMPTY = Graph(0, [])
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["quiet", "noisy"])
+    def test_evolve(self, noise):
+        rng = rng_for(3)
+        drawn = rng.bit_generator.state
+        gate, shil = free_config(self.EMPTY)
+        out = evolve(PhaseState(np.zeros(0), 1.0), 0.5, self.EMPTY, gate, shil,
+                     DynamicsParams(noise=noise), rng)
+        clock = 1.0
+        for _ in range(step_count(0.5, DynamicsParams().dt)):
+            clock += DynamicsParams().dt
+        assert out.phases.shape == (0,)
+        assert out.time == clock
+        assert rng.bit_generator.state == drawn
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["quiet", "noisy"])
+    def test_step(self, noise):
+        gate, shil = free_config(self.EMPTY)
+        out = step(PhaseState(np.zeros(0), 2.0), self.EMPTY, gate, shil,
+                   DynamicsParams(noise=noise), rng_for(4))
+        assert out.phases.shape == (0,)
+        assert out.time == 2.0 + DynamicsParams().dt
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["quiet", "noisy"])
+    def test_integrate_batch(self, noise):
+        phases, time = integrate(
+            np.zeros((3, 0)), 7, self.EMPTY, CouplingGate.all_on(self.EMPTY),
+            ShilConfig.off(0), DynamicsParams(noise=noise),
+            rngs=[rng_for(s) for s in range(3)],
+        )
+        assert phases.shape == (3, 0)
+        assert time == sum([DynamicsParams().dt] * 7)
 
 
 class TestParams:

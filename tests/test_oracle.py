@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -417,6 +418,58 @@ class TestBruteForceMatchesEnumeration:
         # the smallest of the 1.35 M optimal masks puts nodes 1-12 on side 1
         assert labels.tolist() == [0] + [1] * 12 + [0] * 11
         assert elapsed < enumeration
+
+    # real weights: the screen must keep every mask the enumeration may pick
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weights_spanning_the_float_range(self, seed):
+        # 1e-300 vanishes next to 1e300, so whole families of masks tie
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 13))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        weights = rng.choice([1e-300, -1e-300, 3e-300, 1e300, -1e300, 0.5e300], size=len(pairs))
+        assert_same_as_enumeration(Graph(n, [(i, j, w) for (i, j), w in zip(pairs, weights)]))
+
+    @pytest.mark.parametrize("weights", [
+        (1e300, 1e-300, 1e-300, 1e300), (1e-300, 1e300, -1e-300, 1e300), (1e-300,) * 4,
+        (5e-324, 1e-310, 5e-324, 2.5e-308), (1e308, 1e308, 0.3), (1e308, -1e308, 1e308, 0.5),
+        (-1e308, -1e308, 1e308, 1e308),
+    ], ids=["big-first", "mixed-sign", "all-tiny", "subnormal", "overflow", "inf-minus-inf",
+            "negative-overflow"])
+    def test_square_at_float_extremes(self, weights):
+        # where 16 S overflows the margin is unbounded and every mask is re-summed
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_as_enumeration(Graph(4, [(i, j, w) for (i, j), w in zip(edges, weights)]))
+
+    def test_planar_24_nodes_tenths(self):
+        # every weight 0.1: the unit graph's many optimal cuts tie in the
+        # reals but not all in floating point
+        pairs = planar_24_pairs()
+        assert_same_as_enumeration(Graph(24, [(i, j, 0.1) for i, j in pairs]))
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_tenths_across_blocks(self, n, seed):
+        # n = 18 has 2^17 masks, two blocks of 2^16
+        rng = np.random.default_rng(100 * n + seed)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        weights = rng.choice([0.1, 0.2, 0.3, -0.1, 0.7], size=len(pairs))
+        assert_same_as_enumeration(Graph(n, [(i, j, w) for (i, j), w in zip(pairs, weights)]))
+
+    def test_signed_planar_24_nodes_ten_times_faster_than_enumeration(self):
+        pairs = planar_24_pairs()
+        weights = np.random.default_rng(24).normal(size=len(pairs))
+        graph = Graph(24, [(i, j, w) for (i, j), w in zip(pairs, weights)])
+        t0 = time.perf_counter()
+        want = enumerate_maxcut(graph)
+        enumeration = time.perf_counter() - t0
+        elapsed = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            value, labels = brute_force_maxcut(graph)
+            elapsed = min(elapsed, time.perf_counter() - t0)
+        assert (value, labels.tolist()) == (want[0], want[1].tolist())
+        assert elapsed < enumeration / 10
 
 
 class TestStripeCutValue:
