@@ -55,6 +55,28 @@ gives theta back bit for bit. The injection term takes the tangent of
 with weights of ordinary size. tests/test_kernel_contract.py keeps the
 full-angle loop and pins integrate to it bit for bit.
 
+The coupling term has two edge layouts, chosen once per window; both give
+the same bits. The compacted layout gathers both endpoints of every gated
+edge and scatters the sines with np.bincount, which adds each node's terms
+in edge order from 0.0. The lattice layout groups the gated edges by their
+offset d = j - i in the flat half-phase array: class d is the slice pair
+half[:-d] - half[d:], with weight dt * coupling * w where a gated edge sits
+and 0 in every other slot, including those that straddle two iterations.
+One half_angle_sine call covers the concatenated classes; the source sums
+add the classes with src[:-d] += s_d in increasing d and the target sums
+with dst[d:] += s_d in decreasing d, each from 0.0, and the drift is
+src - dst. Edges are sorted by (i, j), so a node's edges as source come in
+increasing d and as target in decreasing d: the order np.bincount adds
+them in. An empty slot adds t * 0 / (1 + t^2) = +-0, and adding +-0 leaves
+a sum that started at +0.0 unchanged, sign included. The lattice layout
+wins when the slices are dense and long; LATTICE_MIN_NODES and
+LATTICE_MAX_SLOTS_PER_EDGE say when. An empty slot between two iterations
+would carry a NaN from one row into the next (0 * tan(NaN) is NaN), which is
+one more reason integrate rejects non-finite phases and noise. From finite
+inputs a NaN can arise only by overflow: each step moves a half phase by at
+most its weighted degree times dt * coupling / 2, plus dt * locking / 2 and
+its noise, so only weights or noise near the float range could get there.
+
 Noise is drawn ahead in blocks of whole steps and kept step-major, one row
 of B * n values per step, so a step adds its noise with one contiguous add.
 Each generator draws its block into a contiguous (block, n) scratch, which
@@ -92,6 +114,17 @@ TWO_PI = 2.0 * math.pi
 # the block and one generator's scratch take at most this many bytes of
 # float64, or one step's worth if that is larger.
 NOISE_BLOCK_BYTES = 1024 * 1024
+
+# A window evaluates its coupling term in the lattice layout, one slice pair
+# of the flat (B * n) half phases per edge offset d = j - i, when the B * n
+# phases number at least LATTICE_MIN_NODES and all the slices together hold
+# at most LATTICE_MAX_SLOTS_PER_EDGE slots per gated edge; otherwise it
+# gathers and scatters the compacted gated edges. Below the floor, per-call
+# overhead outweighs the contiguous arithmetic; above the fill bound, the
+# empty slots do. The all-on gate of a King's graph fills about one slot per
+# edge (4 classes: 1, s - 1, s and s + 1).
+LATTICE_MIN_NODES = 1000
+LATTICE_MAX_SLOTS_PER_EDGE = 2
 
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:
@@ -187,11 +220,15 @@ class DynamicsParams:
             raise ValueError("dt must be positive")
 
     def check_stability(self, graph: Graph) -> None:
-        """dt * max(coupling * max_degree, 2 * locking) must stay below 0.5."""
-        rate = max(self.coupling * graph.max_degree(), 2.0 * self.locking)
+        """dt * max(coupling * max_weighted_degree, 2 * locking) must stay below 0.5.
+
+        A node's weighted degree sum_j |w_ij| bounds its coupling rate; with
+        unit weights it is the node's degree.
+        """
+        rate = max(self.coupling * graph.max_weighted_degree(), 2.0 * self.locking)
         if self.dt * rate >= 0.5:
             raise ValueError(
-                f"unstable step: dt * max(coupling * max_degree, 2 * locking) "
+                f"unstable step: dt * max(coupling * max_weighted_degree, 2 * locking) "
                 f"= {self.dt * rate:.3f} >= 0.5"
             )
 
@@ -241,6 +278,59 @@ def _broadcast(name: str, array, shape: tuple) -> np.ndarray:
         ) from None
 
 
+def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w: np.ndarray):
+    """The coupling term of the gated edges (ei, ej) of the flat half phases:
+    gathered per edge, scattered per node by np.bincount."""
+    size = len(half)
+
+    def coupling() -> np.ndarray:
+        s = half_angle_sine(half[ei] - half[ej], edge_w)
+        drift = np.bincount(ei, weights=s, minlength=size)
+        drift -= np.bincount(ej, weights=s, minlength=size)
+        return drift
+
+    return coupling
+
+
+def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge_w: np.ndarray):
+    """The same coupling term read as one slice pair per offset d = j - i,
+    or None where the compacted layout pays (see LATTICE_MIN_NODES).
+
+    Slot i of class d stands for the pair (i, i + d) of the flat half phases
+    and holds edge_w where a gated edge sits and 0 elsewhere. Source sums add
+    the classes in increasing d and target sums in decreasing d, each from
+    0.0; that is np.bincount's order over edges sorted by (i, j), and an
+    empty slot adds +-0, so the result is _compacted_coupling's, bit for bit.
+    """
+    size = len(half)
+    classes = np.flatnonzero(np.bincount(offset))
+    lengths = size - classes
+    if size < LATTICE_MIN_NODES or lengths.sum() > LATTICE_MAX_SLOTS_PER_EDGE * len(offset):
+        return None
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    weights = np.zeros(ends[-1])
+    weights[starts[np.searchsorted(classes, offset)] + ei] = edge_w
+    diff = np.empty(ends[-1])
+    src, dst = np.empty(size), np.empty(size)
+    spans = [(d, slice(a, b)) for d, a, b in zip(classes.tolist(), starts.tolist(), ends.tolist())]
+    pairs = [(half[:-d], half[d:], diff[span]) for d, span in spans]
+
+    def coupling() -> np.ndarray:
+        for left, right, out in pairs:
+            np.subtract(left, right, out=out)
+        s = half_angle_sine(diff, weights)
+        src.fill(0.0)
+        for d, span in spans:
+            src[:-d] += s[span]
+        dst.fill(0.0)
+        for d, span in reversed(spans):
+            dst[d:] += s[span]
+        return src - dst
+
+    return coupling
+
+
 def integrate(
     phases: np.ndarray,
     n_steps: int,
@@ -261,9 +351,9 @@ def integrate(
     unless xi (shape (B, n_steps, n)) is given. Returns the new phases,
     wrapped into [0, 2*pi), and the clock, advanced by dt per step. The
     recorder samples row 0. A shape that does not fit, an n_steps that is
-    not a nonnegative integer or a count of rngs other than B (with noise
-    on and no xi) raises ValueError. With n = 0 nothing is drawn and only
-    the clock moves.
+    not a nonnegative integer, a count of rngs other than B (with noise
+    on and no xi) or phases or xi holding NaN or an infinity raise
+    ValueError. With n = 0 nothing is drawn and only the clock moves.
 
     The phases are wrapped once per window, at its end: the drift is
     2*pi-periodic in every phase (both tangents have period pi in their
@@ -271,13 +361,17 @@ def integrate(
     tests/test_kernel_contract.py pins a 200-step window against a kernel
     that wraps after every step.
 
-    Results are bit-identical to stepping each row on its own: gated edges
-    are compacted once, in (iteration, edge) order, into flat node indices
-    of the (B * n) array, so np.bincount adds each node's torques in the
-    same order as for a single row, and drawing c * n normals from a
-    generator gives the same values as c draws of n, so the block size
-    changes no draw. At the same place each gated edge weight is multiplied
-    by dt * coupling and each enabled node gets the lock weight
+    Results are bit-identical to stepping each row on its own. The gated
+    edges take one of two layouts, chosen once per window from the graph
+    and the gate alone (LATTICE_MIN_NODES): compacted, in (iteration, edge)
+    order, into flat node indices of the (B * n) array, so np.bincount adds
+    each node's torques in the same order as for a single row; or lattice,
+    one slice pair of the flat array per edge offset, whose sums add the
+    same terms in the same order plus exact zeros (see the module
+    docstring). Drawing c * n normals from a generator gives the same
+    values as c draws of n, so the block size changes no draw. Once per
+    window each gated edge weight is multiplied by dt * coupling and each
+    enabled node gets the lock weight
     -dt * locking (0 elsewhere), so a step adds the half-angle sines to the
     half phases without further scaling. Each noise block is scaled by
     noise * sqrt(dt) / 2 once when drawn, the same products as scaling per
@@ -297,9 +391,13 @@ def integrate(
     _broadcast("shil.select", shil.select, (batch, n))
     if xi is not None and np.shape(xi) != (batch, n_steps, n):
         raise ValueError(f"xi has shape {np.shape(xi)}, need {(batch, n_steps, n)}")
+    # a NaN or inf would spread through every sum it enters; in the lattice
+    # layout that includes the empty slots between two iterations' rows
+    if not np.isfinite(phases).all():
+        raise ValueError("phases must be finite, got NaN or inf")
+    if xi is not None and not np.isfinite(xi).all():
+        raise ValueError("xi must be finite, got NaN or inf")
     iteration, edge = np.nonzero(active)
-    ei = graph.ei[edge] + n * iteration
-    ej = graph.ej[edge] + n * iteration
     # dt times each strength, folded in once; these weights step the half
     # phases, so they are half of theta's. The lock weight is negative
     # because injection pulls toward phi
@@ -324,6 +422,12 @@ def integrate(
             noise_buf = np.empty((block, batch * n))
             draws = np.empty((block, n))
     half = 0.5 * phases.reshape(-1)  # h = theta / 2, exact
+    coupling = None
+    if len(edge_w):
+        ei = graph.ei[edge] + n * iteration
+        offset = (graph.ej - graph.ei)[edge]
+        coupling = (_lattice_coupling(half, ei, offset, edge_w)
+                    or _compacted_coupling(half, ei, ei + offset, edge_w))
     for start in range(0, n_steps, block):
         c = min(block, n_steps - start)
         if noise_buf is not None and xi is None:
@@ -335,11 +439,7 @@ def integrate(
             if recorder is not None:
                 recorder.record(PhaseState(half[:n] + half[:n], time), start + j)
             # both drift terms are taken from the phases at the start of the step
-            drift = None
-            if len(edge_w):
-                s = half_angle_sine(half[ei] - half[ej], edge_w)
-                drift = np.bincount(ei, weights=s, minlength=batch * n)
-                drift -= np.bincount(ej, weights=s, minlength=batch * n)
+            drift = None if coupling is None else coupling()
             if lock_w is not None:
                 lock = half_angle_sine((half + half) - select, lock_w)
                 if drift is None:

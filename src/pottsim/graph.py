@@ -72,6 +72,15 @@ class Graph:
             return 0
         return int(self.degrees().max())
 
+    def max_weighted_degree(self) -> float:
+        """The largest sum_j |w_ij| over nodes i; max_degree() for unit weights."""
+        if self.n == 0:
+            return 0.0
+        size = np.abs(self.w)
+        deg = np.bincount(self.ei, weights=size, minlength=self.n)
+        deg += np.bincount(self.ej, weights=size, minlength=self.n)
+        return float(deg.max())
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

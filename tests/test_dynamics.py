@@ -108,6 +108,42 @@ class TestStep:
             step(state, g, gate, shil, params)
 
 
+    def test_stability_guard_counts_edge_weights(self):
+        # max_degree is 1, so the old guard saw dt * max(1, 5) = 0.05; the
+        # weighted degree 150 gives 1.5
+        heavy = Graph(2, [(0, 1, 150.0)])
+        params = DynamicsParams(noise=0.0)
+        assert params.dt * max(params.coupling * heavy.max_degree(), 2 * params.locking) < 0.5
+        gate, shil = free_config(heavy)
+        with pytest.raises(ValueError, match="unstable"):
+            step(PhaseState(np.array([0.0, 1.0])), heavy, gate, shil, params)
+        with pytest.raises(ValueError, match="unstable"):
+            evolve(PhaseState(np.array([0.0, 1.0])), 1.0, heavy, gate, shil, params)
+
+    def test_stability_guard_counts_negative_weights(self):
+        # ferromagnetic couplings pull as hard as anti-ferromagnetic ones
+        signed = Graph(3, [(0, 1, -30.0), (1, 2, 30.0)])
+        assert signed.max_weighted_degree() == 60.0
+        with pytest.raises(ValueError, match="unstable"):
+            DynamicsParams().check_stability(signed)
+
+    def test_rejected_step_diverges(self):
+        # integrate has no guard: there the anti-phase fixed point of the
+        # heavy edge repels, each step doubling the distance to it
+        heavy = Graph(2, [(0, 1, 150.0)])
+        params = DynamicsParams(locking=0.0, noise=0.0)
+        phases = np.array([[0.0, math.pi - 0.01]])
+        phases, _ = integrate(phases, 6, heavy, CouplingGate.all_on(heavy),
+                              ShilConfig.off(2), params)
+        gap = abs(math.remainder(phases[0, 1] - phases[0, 0], TWO_PI))
+        assert math.pi - gap > 0.5
+
+    @pytest.mark.parametrize("side", [1, 2, 7, 46])
+    def test_weighted_degree_is_degree_for_unit_weights(self, side):
+        graph = kings_graph(side)
+        assert graph.max_weighted_degree() == graph.max_degree()
+
+
 class TestEvolve:
     def test_zero_duration(self):
         state = PhaseState(np.array([1.0, 2.0]), time=3.0)
@@ -248,6 +284,58 @@ class TestIntegrateChecks:
         gate, shil = free_config(EDGE)
         with pytest.raises(ValueError, match="xi"):
             step(PhaseState(np.zeros(2)), EDGE, gate, shil, DynamicsParams(), xi=[1.0])
+
+
+class TestNonFiniteInputs:
+    """A NaN or an infinity in the phases or the noise is named, not integrated."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_integrate_rejects_phases(self, value):
+        phases = np.zeros((3, K3.n))
+        phases[1, 4] = value
+        with pytest.raises(ValueError, match="phases must be finite"):
+            integrate(phases, 5, K3, CouplingGate.all_on(K3), ShilConfig.off(K3.n),
+                      DynamicsParams(), rngs=[rng_for(s) for s in range(3)])
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_integrate_rejects_xi(self, value):
+        xi = np.zeros((3, 5, K3.n))
+        xi[2, 3, 0] = value
+        with pytest.raises(ValueError, match="xi must be finite"):
+            integrate(np.zeros((3, K3.n)), 5, K3, CouplingGate.all_on(K3),
+                      ShilConfig.off(K3.n), DynamicsParams(), xi=xi)
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_step_rejects_phases_and_xi(self, value):
+        gate, shil = free_config(EDGE)
+        with pytest.raises(ValueError, match="phases must be finite"):
+            step(PhaseState(np.array([0.5, value])), EDGE, gate, shil, DynamicsParams(),
+                 rng_for(0))
+        with pytest.raises(ValueError, match="xi must be finite"):
+            step(PhaseState(np.array([0.5, 1.0])), EDGE, gate, shil, DynamicsParams(),
+                 xi=np.array([value, 0.0]))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["quiet", "noisy"])
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_evolve_rejects_phases(self, value, noise):
+        gate, shil = free_config(K3)
+        phases = np.full(K3.n, 1.0)
+        phases[0] = value
+        with pytest.raises(ValueError, match="phases must be finite"):
+            evolve(PhaseState(phases), 1.0, K3, gate, shil, DynamicsParams(noise=noise),
+                   rng_for(0))
+
+    def test_lattice_window_rejects_phases(self):
+        # 3 rows of kings 19 take the lattice layout, where an empty slot
+        # between rows would carry a NaN from one row into the next
+        graph = kings_graph(19)
+        phases = np.ones((3, graph.n))
+        phases[0, -1] = math.nan
+        with pytest.raises(ValueError, match="phases must be finite"):
+            integrate(phases, 2, graph, CouplingGate.all_on(graph), ShilConfig.off(graph.n),
+                      DynamicsParams(noise=0.0))
 
 
 class TestStepCount:

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from pottsim.cli import RunConfig, main, run_batch
+from pottsim.dynamics import DynamicsParams
 from pottsim.graph import Graph, kings_graph, save_graph
 from pottsim.scheduler import solve_kcoloring
 from pottsim.seeds import mix_seed
@@ -73,3 +74,9 @@ def test_run_batch_equals_per_seed_solves(graph, m):
         assert res.to_dict() == single.to_dict()
         if graph.edge_count == 0:
             assert res.cut_accuracy == 1.0
+
+
+def test_weighted_graph_passes_the_weighted_stability_guard():
+    # the guard counts sum_j |w_ij|: at most 6 edges of weight at most 1.3 here
+    assert WEIGHTED.max_weighted_degree() <= 6 * 1.3
+    DynamicsParams().check_stability(WEIGHTED)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from pottsim import dynamics, scheduler
 from pottsim.dynamics import (
@@ -309,6 +310,17 @@ class TestRowIndependence:
                                  params, xi=xi[b:b + 1])
             assert np.array_equal(together[b].view(np.int64), alone[0].view(np.int64))
 
+    def test_lattice_rows_equal_compacted_single_row_runs(self):
+        # the case above at side 19: its 3 rows take the lattice layout, each
+        # row alone (361 phases, below the size floor) the compacted one
+        graph = kings_graph(19)
+        rng = np.random.default_rng(19)
+        phases = rng.uniform(0.0, TWO_PI, (3, graph.n))
+        gate = CouplingGate(rng.random((3, graph.edge_count)) < 0.7)
+        assert picked_layout(phases, graph, gate) == "lattice"
+        assert picked_layout(phases[:1], graph, CouplingGate(gate.active[0])) == "compacted"
+        self.test_rows_equal_single_row_runs(19, 20)
+
 
 def traced_run(kernel, phases, n_steps, graph, gate, shil, params, source, seed):
     """A window run by kernel: its phases and recorder samples as int64 bits,
@@ -399,3 +411,138 @@ class TestStatisticalEquivalence:
             new_mean = np.mean([getattr(r, key) for r in new])
             stderr = np.std(ref_values, ddof=1) / math.sqrt(n_seeds)
             assert abs(new_mean - ref_values.mean()) <= 3 * stderr, key
+
+
+def picked_layout(phases, graph, gate, shil=None):
+    """The edge layout integrate picks for a window: "lattice" or "compacted"."""
+    picked = []
+    lattice = dynamics._lattice_coupling
+
+    def spy(*args):
+        coupling = lattice(*args)
+        picked.append("compacted" if coupling is None else "lattice")
+        return coupling
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_lattice_coupling", spy)
+        integrate(phases, 1, graph, gate, shil or ShilConfig.off(graph.n),
+                  DynamicsParams(noise=0.0))
+    assert len(picked) == 1
+    return picked[0]
+
+
+def delaunay_graph(n, seed):
+    """A Delaunay triangulation of the unit square's corners and n - 4 random
+    points, as the desk-planar benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    points = np.vstack([corners, rng.uniform(0.05, 0.95, size=(n - 4, 2))])
+    pairs = set()
+    for tri in Delaunay(points).simplices:
+        a, b, c = sorted(tri.tolist())
+        pairs.update({(a, b), (a, c), (b, c)})
+    return Graph(n, [(i, j, 1.0) for i, j in sorted(pairs)])
+
+
+class TestLayoutRule:
+    """The lattice layout runs where it pays, and only there."""
+
+    def test_stage1_gate_of_the_largest_kings_graph_takes_slices(self):
+        graph = kings_graph(46)
+        phases = np.random.default_rng(0).uniform(0.0, TWO_PI, (3, graph.n))
+        gate = scheduler.gate_couplings(graph, np.zeros((3, graph.n), dtype=np.int64))
+        assert picked_layout(phases, graph, gate) == "lattice"
+        shil = scheduler.assign_shil(np.zeros((3, graph.n), dtype=np.int64), 1)
+        assert picked_layout(phases, graph, gate, shil) == "lattice"
+
+    def test_kings7_batch_of_40_takes_slices(self):
+        graph = kings_graph(7)
+        phases = np.random.default_rng(1).uniform(0.0, TWO_PI, (40, graph.n))
+        assert picked_layout(phases, graph, CouplingGate.all_on(graph)) == "lattice"
+
+    def test_stage2_gate_stays_compacted(self):
+        graph = kings_graph(46)
+        rng = np.random.default_rng(2)
+        phases = rng.uniform(0.0, TWO_PI, (3, graph.n))
+        gate = scheduler.gate_couplings(graph, rng.integers(0, 2, (3, graph.n)))
+        assert picked_layout(phases, graph, gate) == "compacted"
+
+    @pytest.mark.parametrize("batch", [4, 50], ids=["below-floor", "above-floor"])
+    def test_delaunay_graph_stays_compacted(self, batch):
+        # 4 rows are desk-planar's batch; at 50 the 1200 phases pass the size
+        # floor, and the many sparse offsets fail the fill bound
+        graph = delaunay_graph(24, 711)
+        assert graph.edge_count == 3 * 24 - 7
+        phases = np.random.default_rng(3).uniform(0.0, TWO_PI, (batch, graph.n))
+        assert picked_layout(phases, graph, CouplingGate.all_on(graph)) == "compacted"
+
+    def test_small_window_stays_compacted(self):
+        graph = kings_graph(10)
+        phases = np.random.default_rng(4).uniform(0.0, TWO_PI, (1, graph.n))
+        assert picked_layout(phases, graph, CouplingGate.all_on(graph)) == "compacted"
+
+
+class TestLatticeLayout:
+    """Windows in the lattice layout match the full-angle loop bit for bit."""
+
+    @pytest.mark.parametrize("block_steps", [None, 5], ids=["one-block", "blocks-of-5"])
+    @pytest.mark.parametrize("source", ["rngs", "xi"])
+    @pytest.mark.parametrize("side,batch", [(32, 1), (19, 3)])
+    @pytest.mark.parametrize("kind", ["anneal", "lock"])
+    def test_stage1_windows(self, kind, side, batch, source, block_steps, monkeypatch):
+        graph = kings_graph(side)
+        rng = np.random.default_rng(side)
+        phases = rng.uniform(0.0, TWO_PI, (batch, graph.n))
+        groups = np.zeros((batch, graph.n), dtype=np.int64)
+        gate = scheduler.gate_couplings(graph, groups)
+        shil = scheduler.assign_shil(groups, 1) if kind == "lock" else ShilConfig.off(graph.n)
+        assert picked_layout(phases, graph, gate, shil) == "lattice"
+        if block_steps is not None:
+            # 37 steps are not a multiple of either kernel's block
+            monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES",
+                                8 * (batch + 1) * graph.n * block_steps)
+        args = (phases, 37, graph, gate, shil, DynamicsParams(), source, 11)
+        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["grid", "kings"]), st.integers(10, 32), st.integers(0, 2),
+           st.floats(0.7, 1.0), st.sampled_from([0.0, 2.5]), st.sampled_from([0.0, 0.5]),
+           st.sampled_from(["rngs", "xi"]), st.integers(0, 2**32 - 1))
+    def test_random_lattices(self, kind, side, extra_rows, density, locking, noise, source, seed):
+        """Grid (offsets 1 and side) and King's-like graphs with random
+        weights and gates, with B * n above the size floor."""
+        rng = np.random.default_rng(seed)
+        n = side * side
+        offsets = [1, side] if kind == "grid" else [1, side - 1, side, side + 1]
+        pairs = [(i, i + d) for i in range(n) for d in offsets
+                 if i + d < n and (d == side or abs((i + d) % side - i % side) == 1)]
+        graph = Graph(n, [(i, j, rng.uniform(-2.0, 2.0)) for i, j in pairs])
+        batch = -(-dynamics.LATTICE_MIN_NODES // n) + extra_rows
+        phases = rng.uniform(0.0, TWO_PI, (batch, n))
+        gate = CouplingGate(rng.random((batch, graph.edge_count)) < density)
+        shil = ShilConfig(rng.random((batch, n)) < 0.8,
+                          rng.choice([0.0, math.pi / 2, math.pi / 4], (batch, n)))
+        assert picked_layout(phases, graph, gate, shil) == "lattice"
+        params = DynamicsParams(coupling=1.0, locking=locking, noise=noise, dt=0.01)
+        args = (phases, 20, graph, gate, shil, params, source, seed)
+        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
+
+
+class TestStepSizeConvergence:
+    """The default step dt = 0.01 is converged: its mean accuracies lie
+    within 3 standard errors of those at dt = 0.005.
+
+    The standard errors come from the spread over seeds at dt = 0.005.
+    """
+
+    @pytest.mark.parametrize("side,n_seeds", [(7, 200), (20, 40)])
+    def test_mean_accuracies(self, side, n_seeds):
+        graph = kings_graph(side)
+        seeds = range(n_seeds)
+        default = scheduler.solve_batch(graph, 2, seeds=seeds)
+        fine = scheduler.solve_batch(graph, 2, DynamicsParams(dt=0.005), seeds=seeds)
+        for key in ("coloring_accuracy", "cut_accuracy"):
+            fine_values = np.array([getattr(r, key) for r in fine])
+            default_mean = np.mean([getattr(r, key) for r in default])
+            stderr = np.std(fine_values, ddof=1) / math.sqrt(n_seeds)
+            assert abs(default_mean - fine_values.mean()) <= 3 * stderr, key
