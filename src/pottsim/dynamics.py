@@ -79,8 +79,8 @@ its noise, so only weights or noise near the float range could get there.
 
 Noise is drawn ahead in blocks of whole steps and kept step-major, one row
 of B * n values per step, so a step adds its noise with one contiguous add.
-Each generator draws its block into a contiguous (block, n) scratch, which
-is copied into that iteration's columns.
+Each iteration's block, drawn into a contiguous (block, n) scratch or read
+from explicit noise xi, is copied into that iteration's columns.
 """
 
 from __future__ import annotations
@@ -351,9 +351,9 @@ def integrate(
     unless xi (shape (B, n_steps, n)) is given. Returns the new phases,
     wrapped into [0, 2*pi), and the clock, advanced by dt per step. The
     recorder samples row 0. A shape that does not fit, an n_steps that is
-    not a nonnegative integer, a count of rngs other than B (with noise
-    on and no xi) or phases or xi holding NaN or an infinity raise
-    ValueError. With n = 0 nothing is drawn and only the clock moves.
+    not a nonnegative integer, a count of rngs other than B (with noise on
+    and no xi), or NaN or inf in phases, xi or, with locking on, an enabled
+    shil.select raise ValueError. With n = 0 only the clock moves.
 
     The phases are wrapped once per window, at its end: the drift is
     2*pi-periodic in every phase (both tangents have period pi in their
@@ -361,22 +361,14 @@ def integrate(
     tests/test_kernel_contract.py pins a 200-step window against a kernel
     that wraps after every step.
 
-    Results are bit-identical to stepping each row on its own. The gated
-    edges take one of two layouts, chosen once per window from the graph
-    and the gate alone (LATTICE_MIN_NODES): compacted, in (iteration, edge)
-    order, into flat node indices of the (B * n) array, so np.bincount adds
-    each node's torques in the same order as for a single row; or lattice,
-    one slice pair of the flat array per edge offset, whose sums add the
-    same terms in the same order plus exact zeros (see the module
-    docstring). Drawing c * n normals from a generator gives the same
-    values as c draws of n, so the block size changes no draw. Once per
-    window each gated edge weight is multiplied by dt * coupling and each
-    enabled node gets the lock weight
-    -dt * locking (0 elsewhere), so a step adds the half-angle sines to the
-    half phases without further scaling. Each noise block is scaled by
-    noise * sqrt(dt) / 2 once when drawn, the same products as scaling per
-    step. Carrying half phases changes no rounding (see the module
-    docstring): the result is that of the full-angle loop, bit for bit.
+    Results are bit-identical to stepping each row on its own and to the
+    full-angle loop (see the module docstring). Both edge layouts, chosen
+    once per window from the graph and gate (LATTICE_MIN_NODES), add each
+    node's torques in np.bincount's order for one row; the compacted one
+    lists the gated edges in (iteration, edge) order as flat indices. Edge,
+    lock and noise scales are folded in once per window or noise block, the
+    same products as per step, and c * n normals from a generator equal c
+    draws of n, so the block size changes no draw.
     """
     phases = np.array(phases, dtype=np.float64, ndmin=2)
     if phases.ndim != 2 or phases.shape[1] != graph.n:
@@ -406,21 +398,19 @@ def integrate(
     if params.locking > 0.0 and np.any(shil.enabled):
         lock_w = np.where(shil.enabled, -params.dt * params.locking, 0.0)
         select = np.where(shil.enabled, shil.select, 0.0)
+        if not np.isfinite(select).all():
+            raise ValueError("shil.select must be finite where injection is on, got NaN or inf")
         lock_w, select = (np.broadcast_to(a, (batch, n)).reshape(-1) for a in (lock_w, select))
     # step-major noise: row j holds step j's noise for all B * n phases
     noise_buf, block = None, max(n_steps, 1)
     if params.noise > 0.0:
         half_scale = 0.5 * (params.noise * math.sqrt(params.dt))
-        if xi is not None:
-            noise_buf = (half_scale * xi).swapaxes(0, 1).reshape(n_steps, batch * n)
-        elif rngs is None:
-            raise ValueError("noise > 0 requires an rng or explicit xi")
-        elif len(rngs) != batch:
-            raise ValueError(f"got {len(rngs)} rngs for {batch} phase rows")
-        else:
-            block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * (batch + 1) * max(n, 1))))
-            noise_buf = np.empty((block, batch * n))
-            draws = np.empty((block, n))
+        if xi is None and len(rngs or ()) != batch:
+            raise ValueError("noise > 0 requires an rng per phase row or explicit xi: "
+                             f"got {len(rngs or ())} rngs for {batch} phase rows")
+        block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * (batch + 1) * max(n, 1))))
+        noise_buf = np.empty((block, batch * n))
+        draws = np.empty((block, n)) if xi is None else None
     half = 0.5 * phases.reshape(-1)  # h = theta / 2, exact
     coupling = None
     if len(edge_w):
@@ -430,10 +420,13 @@ def integrate(
                     or _compacted_coupling(half, ei, ei + offset, edge_w))
     for start in range(0, n_steps, block):
         c = min(block, n_steps - start)
-        if noise_buf is not None and xi is None:
-            for b, rng in enumerate(rngs):
-                rng.standard_normal(out=draws[:c])
-                noise_buf[:c, b * n:(b + 1) * n] = draws[:c]
+        if noise_buf is not None:
+            for b in range(batch):
+                if xi is None:
+                    rows = rngs[b].standard_normal(out=draws[:c])
+                else:
+                    rows = xi[b, start:start + c]
+                noise_buf[:c, b * n:(b + 1) * n] = rows
             noise_buf[:c] *= half_scale
         for j in range(c):
             if recorder is not None:

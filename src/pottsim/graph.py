@@ -81,6 +81,28 @@ class Graph:
         deg += np.bincount(self.ej, weights=size, minlength=self.n)
         return float(deg.max())
 
+    def cut_sums(self, labels=None, weights=None) -> np.ndarray:
+        """Cut weight of each row of labels (..., n): weights (default w) of
+        the edges the row cuts, added in edge order from 0.0, in chunks of
+        about 2^18 terms; labels None cuts every edge. The one cut sum of
+        cut_value, the exact max-cut and the upper-bound normalizer: rounding
+        is monotone, so no row outsums one whose terms are termwise larger."""
+        w = self.w if weights is None else np.asarray(weights, dtype=np.float64)
+        if labels is None:
+            return np.add.accumulate(np.r_[0.0, w])[-1]
+        labels = np.asarray(labels)
+        if labels.shape[-1:] != (self.n,):
+            raise ValueError(f"labels have shape {labels.shape}, need (..., {self.n})")
+        sums = np.zeros(labels.shape[:-1])
+        rows, flat = labels.reshape(sums.size, self.n), sums.reshape(-1)
+        chunk = max(1, (1 << 18) // max(len(w), 1))
+        for a in range(0, len(rows) if len(w) else 0, chunk):
+            part = rows[a:a + chunk].T
+            terms = np.where(part[self.ei] != part[self.ej], w[:, None], 0.0)
+            # accumulate adds edge by edge, never in np.sum's pairwise tree
+            flat[a:a + chunk] = np.add.accumulate(terms)[-1]
+        return sums + 0.0  # from 0.0: a sum of -0.0 terms is 0.0
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -43,18 +43,16 @@ def coloring_accuracy(graph: Graph, coloring) -> float:
 
 
 def cut_value(graph: Graph, partition) -> float:
-    """Total weight of edges crossing the partition."""
-    partition = np.asarray(partition)
-    if len(partition) != graph.n:
-        raise ValueError("partition length does not match node count")
-    return float(np.sum(graph.w[partition[graph.ei] != partition[graph.ej]]))
+    """Total weight of edges crossing the partition, by Graph.cut_sums."""
+    return float(graph.cut_sums(partition))
 
 
 def cut_accuracy(graph: Graph, partition, baseline_cut: float) -> float:
     """Achieved cut weight over the baseline cut; 1.0 if no edges.
 
-    Can exceed 1.0 when the baseline is merely best-known; the value is
-    reported as-is.
+    At most 1.0 against an "exact" or "upper-bound" baseline, and exactly
+    1.0 at a maximum cut: all sum in one edge order (Graph.cut_sums). Can
+    exceed 1.0 when the baseline is merely best-known; reported as-is.
     """
     if graph.edge_count == 0:
         return 1.0  # any partition of an edgeless graph is optimal

@@ -7,16 +7,15 @@ how many colored neighbors hold each color, and how many distinct colors
 each node sees. Its node order and witnesses match those of the
 list-and-set search that tests/test_oracle.py keeps as a reference.
 
-brute_force_maxcut searches all partitions (n <= 24) and returns bit for
-bit what a plain edge-by-edge enumeration returns. It works by meet in
-the middle for every weight type: the free nodes split into two halves,
-and one matrix product scores every pairing of half-labelings in a block.
-Integer scores are exact, so each block's first maximum is the answer.
-Real-weight scores are screened with a rounding-error bound, and only the
-masks within it of the best score so far are re-summed edge by edge. The
-King's-graph closed forms give a constructive proper 4-coloring and the
-best-known (row-stripe) cut value. cut_baseline picks the max-cut
-normalizer that cut accuracies are reported against.
+brute_force_maxcut searches all partitions (n <= 24) by meet in the
+middle, one matrix product per block of masks, and returns bit for bit
+what a plain enumeration of Graph.cut_sums returns: integer scores are
+exact, and real-weight ones are screened with a rounding-error bound and
+re-summed by Graph.cut_sums. The King's-graph closed forms give a
+constructive proper 4-coloring and the best-known (row-stripe) cut value.
+cut_baseline picks the max-cut normalizer that cut accuracies are
+reported against; it sums in the same edge order, so the optimum scores
+exactly 1.0 against an exact or upper-bound normalizer.
 """
 
 from __future__ import annotations
@@ -147,17 +146,6 @@ def _score_blocks(graph: Graph):
         yield h << lo, (left[h:h + rows] @ right).reshape(-1)
 
 
-def _edge_order_cuts(graph: Graph, masks: np.ndarray) -> np.ndarray:
-    """Cut of each mask summed over the edges in order from 0.0: the value
-    brute_force_maxcut reports."""
-    cuts = np.zeros(len(masks))
-    for i, j, w in zip(graph.ei - 1, graph.ej - 1, graph.w):
-        bi = (masks >> i) & 1 if i >= 0 else 0
-        bj = (masks >> j) & 1
-        cuts += w * (bi != bj)
-    return cuts
-
-
 def _gamma(terms: int) -> float:
     """Higham's gamma_k = k u / (1 - k u) for float64, u = 2^-53."""
     ku = terms * 2.0**-53
@@ -187,7 +175,7 @@ def _best_mask(graph: Graph) -> tuple[float, int]:
                 keep = np.arange(len(scores))
             if not len(keep):
                 continue
-            cuts = _edge_order_cuts(graph, first + keep)
+            cuts = graph.cut_sums(((first + keep[:, None]) << 1 >> np.arange(graph.n)) & 1)
             k = int(np.argmax(cuts))
             cut, mask = float(cuts[k]), first + int(keep[k])
         if cut > best_cut:
@@ -198,10 +186,10 @@ def _best_mask(graph: Graph) -> tuple[float, int]:
 def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
     """Exhaustive weighted max-cut for n <= 24.
 
-    Fixes node 0 on side 0, so mask bit b assigns node b+1 and 2^(n-1)
+    Fixes node 0 on side 0: node v is bit v of 2 * mask, and 2^(n-1)
     masks cover every cut. Returns (best cut weight, the 0/1 labels of the
-    smallest mask that reaches it), the weight summed over the edges in
-    order from 0.0, exactly as a plain edge-by-edge enumeration reports it.
+    smallest mask that reaches it): the largest Graph.cut_sums of any mask,
+    so cut_value(graph, labels) equals it bit for bit.
 
     Every block of 2^16 masks is scored by one matrix product
     (_score_blocks). A score p is the floating-point sum, in some order, of
@@ -212,7 +200,7 @@ def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
       below 2^53, so p is exact in any order and equals the edge-order
       sum. Each block's first maximum is the enumeration's.
     - Other weights: only masks that may reach the edge-order maximum are
-      re-summed edge by edge. Higham's bound for a sum of L terms in any
+      re-summed by Graph.cut_sums. Higham's bound for a sum of L terms in any
       order, |fl(sum x) - sum x| <= gamma_(L-1) sum |x| with
       gamma_k = k u / (1 - k u), bounds both errors against the exact
       cut v. A score sums at most n^2 + 2E terms, each a weight times
@@ -246,9 +234,7 @@ def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
     # then re-summed, and its sum overflows just as the enumeration's does
     with np.errstate(over="ignore", invalid="ignore"):
         best_cut, best_mask = _best_mask(graph)
-    labels = np.zeros(graph.n, dtype=np.int64)
-    labels[1:] = (best_mask >> np.arange(graph.n - 1)) & 1
-    return best_cut, labels
+    return best_cut, ((best_mask << 1) >> np.arange(graph.n)) & 1
 
 
 def stripe_cut_value(side: int) -> int:
@@ -286,5 +272,5 @@ def cut_baseline(graph: Graph) -> tuple[float, str]:
         return brute_force_maxcut(graph)[0], kind
     if kind == "best-known":
         return float(stripe_cut_value(math.isqrt(graph.n))), kind
-    # no cut weighs more than all positive edges; negative ones only lower it
-    return float(np.maximum(graph.w, 0.0).sum()), kind
+    # termwise no cut weighs more than all positive edges, summed in the same order
+    return float(graph.cut_sums(weights=np.maximum(graph.w, 0.0))), kind

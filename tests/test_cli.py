@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pottsim.cli import RunConfig, main
 from pottsim.graph import Graph, kings_graph, load_graph, save_graph
+from pottsim.oracle import cut_baseline
 from pottsim.seeds import mix_seed
 
 
@@ -178,6 +180,32 @@ class TestStats:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert "result_0001.json" in err
+
+    @pytest.mark.parametrize("n,kind", [(18, "exact"), (40, "upper-bound")])
+    def test_real_weight_results_from_the_pairwise_sum(self, n, kind, tmp_path):
+        # result files written while cut_value and the upper bound summed
+        # with np.sum's pairwise tree still pass the 1e-12 check
+        rng = np.random.default_rng(n)
+        graph = Graph(n, [(i, j, float(rng.uniform(-0.5, 1.0)))
+                          for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3])
+        path = str(tmp_path / "g.json")
+        save_graph(graph, path)
+        outdir = tmp_path / "r"
+        assert main(["solve", "-g", path, "--iters", "3", "--seed", "2", "-o", str(outdir)]) == 0
+        baseline, got_kind = cut_baseline(graph)
+        assert got_kind == kind
+        if kind == "upper-bound":
+            baseline = float(np.maximum(graph.w, 0.0).sum())
+        moved = 0
+        for result in sorted(outdir.glob("result_*.json")):
+            doc = json.loads(result.read_text())
+            part = np.array(doc["partition"])
+            legacy = float(np.sum(graph.w[part[graph.ei] != part[graph.ej]])) / baseline
+            moved += legacy != doc["cut_accuracy"]
+            doc["cut_accuracy"] = legacy
+            result.write_text(json.dumps(doc))
+        assert moved  # the last bits differ, within the tolerance
+        assert main(["stats", "-g", path, str(outdir)]) == 0
 
     def test_empty_dir(self, k4_path, tmp_path):
         assert main(["stats", "-g", k4_path, str(tmp_path)]) != 0

@@ -19,6 +19,7 @@ from pottsim.dynamics import (
     step_count,
     wrap_phases,
 )
+from pottsim import scheduler
 from pottsim.graph import Graph, kings_graph
 from pottsim.hamiltonian import lyapunov_energy
 from pottsim.seeds import rng_for
@@ -326,6 +327,41 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="phases must be finite"):
             evolve(PhaseState(phases), 1.0, K3, gate, shil, DynamicsParams(noise=noise),
                    rng_for(0))
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_integrate_rejects_select_where_injection_is_on(self, value):
+        select = np.zeros((3, K3.n))
+        select[1, 2] = value
+        with pytest.raises(ValueError, match="shil.select must be finite"):
+            integrate(np.zeros((3, K3.n)), 5, K3, CouplingGate.all_on(K3),
+                      ShilConfig(np.ones(K3.n, dtype=bool), select), DynamicsParams(noise=0.0))
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_step_and_evolve_reject_select(self, value):
+        gate, shil = CouplingGate.all_on(K3), ShilConfig.uniform(K3.n, value)
+        state = PhaseState(np.full(K3.n, 1.0))
+        with pytest.raises(ValueError, match="shil.select must be finite"):
+            step(state, K3, gate, shil, DynamicsParams(), rng_for(0))
+        with pytest.raises(ValueError, match="shil.select must be finite"):
+            evolve(state, 1.0, K3, gate, shil, DynamicsParams(), rng_for(0))
+
+    def test_solve_batch_rejects_select(self, monkeypatch):
+        def nan_shil(groups, stage=2):
+            return ShilConfig(np.ones(K3.n, dtype=bool), np.full(np.shape(groups), math.nan))
+
+        monkeypatch.setattr(scheduler, "assign_shil", nan_shil)
+        with pytest.raises(ValueError, match="shil.select must be finite"):
+            scheduler.solve_batch(K3, 2, seeds=[0, 1])
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_select_inert_without_locking(self, value):
+        # with locking 0 no lock term is formed, so select is never read
+        params = DynamicsParams(locking=0.0, noise=0.0)
+        phases = np.linspace(0.0, 6.0, K3.n)
+        gate = CouplingGate.all_on(K3)
+        want, _ = integrate(phases, 4, K3, gate, ShilConfig.uniform(K3.n, 0.0), params)
+        got, _ = integrate(phases, 4, K3, gate, ShilConfig.uniform(K3.n, value), params)
+        assert np.array_equal(got, want)
 
     def test_lattice_window_rejects_phases(self):
         # 3 rows of kings 19 take the lattice layout, where an empty slot

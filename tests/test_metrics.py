@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -103,6 +103,76 @@ class TestCutAccuracy:
     def test_can_exceed_one(self):
         # non-optimal baseline is allowed; value is reported as-is
         assert cut_accuracy(EDGE, [0, 1], 0.5) == 2.0
+
+
+def loop_cut_sum(graph, labels=None, weights=None):
+    """Reference: a Python loop over the edges in order, from 0.0."""
+    total = 0.0
+    for i, j, w in zip(graph.ei, graph.ej, graph.w if weights is None else weights):
+        if labels is None or labels[i] != labels[j]:
+            total += float(w)
+    return total
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=np.float64).view(np.int64),
+                          np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+class TestCutSums:
+    """Graph.cut_sums adds each cut edge's weight in edge order from 0.0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.floats(-1e3, 1e3)), max_size=80),
+        st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=5),
+    )))
+    def test_rows_equal_an_edge_loop(self, case):
+        n, raw, rows = case
+        seen, edges = set(), []
+        for i, j, w in raw:
+            if i != j and (min(i, j), max(i, j)) not in seen:
+                seen.add((min(i, j), max(i, j)))
+                edges.append((i, j, w))
+        graph = Graph(n, edges)
+        sums = graph.cut_sums(np.array(rows))
+        assert sums.shape == (len(rows),)
+        assert same_bits(sums, [loop_cut_sum(graph, row) for row in rows])
+        assert same_bits(cut_value(graph, rows[0]), loop_cut_sum(graph, rows[0]))
+        positive = np.maximum(graph.w, 0.0)
+        assert same_bits(graph.cut_sums(weights=positive), loop_cut_sum(graph, None, positive))
+
+    def test_chunks_and_leading_axes(self):
+        # 3000 rows of K24 span several chunks of about 2^18 terms
+        rng = np.random.default_rng(5)
+        graph = Graph(24, [(i, j, float(rng.normal())) for i in range(24) for j in range(i + 1, 24)])
+        rows = rng.integers(0, 2, (3, 1000, 24))
+        sums = graph.cut_sums(rows)
+        assert sums.shape == (3, 1000)
+        want = [loop_cut_sum(graph, row) for row in rows.reshape(-1, 24)]
+        assert same_bits(sums.reshape(-1), want)
+
+    def test_sums_start_from_zero(self):
+        # -0.0 terms alone sum to +0.0, as when added to 0.0
+        graph = Graph(3, [(0, 1, -0.0), (1, 2, -0.0)])
+        assert same_bits(graph.cut_sums([0, 1, 0]), 0.0)
+        assert same_bits(graph.cut_sums(), 0.0)
+        assert same_bits(Graph(3, []).cut_sums(np.zeros((2, 3))), [0.0, 0.0])
+
+    @pytest.mark.parametrize("weights", [(1e16, 1.0, 1.0), (1.0, 1.0, 1e16)])
+    def test_order_is_edge_order(self, weights):
+        # (1e16 + 1) + 1 and (1 + 1) + 1e16 round differently
+        graph = Graph(4, [(0, 1, weights[0]), (1, 2, weights[1]), (2, 3, weights[2])])
+        want = (weights[0] + weights[1]) + weights[2]
+        assert want != weights[0] + (weights[1] + weights[2])
+        assert graph.cut_sums([0, 1, 0, 1]) == want
+
+    @pytest.mark.parametrize("labels", [[0, 1], np.zeros((2, 3)), np.zeros((4, 1))])
+    def test_rejects_labels_of_another_length(self, labels):
+        with pytest.raises(ValueError, match=r"need \(\.\.\., 4\)"):
+            Graph(4, [(0, 1, 1.0)]).cut_sums(labels)
 
 
 class TestHamming:

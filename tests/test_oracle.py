@@ -4,16 +4,17 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pottsim.graph import Graph, kings_graph
 from pottsim.hamiltonian import potts_energy
-from pottsim.metrics import cut_value
+from pottsim.metrics import cut_accuracy, cut_value
 from pottsim.oracle import (
     OracleTimeout,
     brute_force_maxcut,
     constructive_kings_coloring,
+    cut_baseline,
     exact_coloring,
     stripe_cut_value,
 )
@@ -267,13 +268,14 @@ class TestBruteForceMaxcut:
             ]
             g = Graph(n, edges)
             cut, labels = brute_force_maxcut(g)
-            assert cut == pytest.approx(exhaustive_maxcut(g))
-            assert cut_value(g, labels) == pytest.approx(cut)
+            # one edge-order sum throughout, so equal bit for bit
+            assert cut == exhaustive_maxcut(g)
+            assert cut_value(g, labels) == cut
 
     def test_flip_symmetry(self):
         g = kings_graph(3)
         cut, labels = brute_force_maxcut(g)
-        assert cut_value(g, 1 - labels) == pytest.approx(cut)
+        assert cut_value(g, 1 - labels) == cut
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -470,6 +472,63 @@ class TestBruteForceMatchesEnumeration:
             elapsed = min(elapsed, time.perf_counter() - t0)
         assert (value, labels.tolist()) == (want[0], want[1].tolist())
         assert elapsed < enumeration / 10
+
+
+@st.composite
+def signed_graphs(draw, nodes):
+    """A dense graph on nodes with signed real weights, none of them 0."""
+    n = draw(nodes)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weight = st.floats(0.01, 10.0) | st.floats(-10.0, -0.01)
+    return Graph(n, [(i, j, draw(weight)) for (i, j), k in zip(pairs, keep) if k])
+
+
+def split_graph(n, seed):
+    """A signed graph whose maximum cut cuts exactly its positive edges:
+    positive weights across a random bipartition, negative ones inside it."""
+    rng = np.random.default_rng(seed)
+    side = rng.integers(0, 2, n)
+    side[0] = 0
+    edges = [
+        (i, j, float(rng.uniform(0.01, 3.0)) * (1.0 if side[i] != side[j] else -1.0))
+        for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
+    ]
+    return Graph(n, edges), side
+
+
+class TestOneCutOrder:
+    """cut_value, brute_force_maxcut and the upper-bound normalizer sum a cut
+    in one edge order, so an optimal cut scores exactly 1.0 and none more."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(signed_graphs(st.integers(2, 14)))
+    def test_exact_optimum_scores_exactly_one(self, graph):
+        best, labels = brute_force_maxcut(graph)
+        baseline, kind = cut_baseline(graph)
+        assert np.float64(cut_value(graph, labels)).view(np.int64) == np.float64(best).view(np.int64)
+        assume(baseline > 0)  # no cut accuracy exists against 0
+        assert kind == "exact"
+        assert cut_accuracy(graph, labels, baseline) == 1.0
+
+    @pytest.mark.parametrize("n,seed", [(25, 0), (40, 1), (60, 2)])
+    def test_upper_bound_reached_scores_exactly_one(self, n, seed):
+        graph, side = split_graph(n, seed)
+        baseline, kind = cut_baseline(graph)
+        assert kind == "upper-bound"
+        assert cut_value(graph, side) == baseline
+        assert cut_accuracy(graph, side, baseline) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(signed_graphs(st.integers(2, 12)), signed_graphs(st.integers(25, 34))),
+           st.data())
+    def test_no_partition_beats_an_exact_or_upper_bound(self, graph, data):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=graph.n, max_size=graph.n))
+        baseline, kind = cut_baseline(graph)
+        assert kind == ("exact" if graph.n <= 24 or not graph.edge_count else "upper-bound")
+        assert cut_value(graph, labels) <= baseline
+        assume(baseline > 0)
+        assert cut_accuracy(graph, labels, baseline) <= 1.0
 
 
 class TestStripeCutValue:
