@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .dynamics import DynamicsParams
-from .graph import kings_graph, load_graph, save_graph
+from .graph import FORMATS, kings_graph, load_graph, save_graph
 from .metrics import RunStats, SolveResult, aggregate, coloring_accuracy, cut_accuracy
 from .oracle import OracleTimeout, cut_baseline, exact_coloring
 from .scheduler import StagePlan, solve_batch
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a King's-graph instance")
     p_gen.add_argument("--kings", type=_positive_int, required=True, metavar="SIDE")
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.add_argument("--format", choices=("dimacs_col", "json_edges"))
+    p_gen.add_argument("--format", choices=tuple(FORMATS))
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="run a batch of staged solves")

@@ -229,7 +229,7 @@ class DynamicsParams:
         if self.dt * rate >= 0.5:
             raise ValueError(
                 f"unstable step: dt * max(coupling * max_weighted_degree, 2 * locking) "
-                f"= {self.dt * rate:.3f} >= 0.5"
+                f"= {self.dt * rate:.3g} >= 0.5"
             )
 
 

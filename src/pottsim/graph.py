@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from itertools import compress, islice
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable
 
@@ -25,7 +25,6 @@ __all__ = [
     "save_graph",
 ]
 
-FORMATS = ("dimacs_col", "json_edges")
 # node ids are int64, so a node count must fit in one
 MAX_NODE_COUNT = 2**63 - 1
 
@@ -268,54 +267,49 @@ def load_graph(path: str | os.PathLike, format: str | None = None) -> Graph:
 
     Format is inferred from the extension (.col / .json) when not given.
     """
-    fmt = format or _infer_format(path)
-    if fmt == "dimacs_col":
-        return _load_dimacs(path)
-    if fmt == "json_edges":
-        return _load_json(path)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _format(path, format)[1](path)
 
 
 def save_graph(graph: Graph, path: str | os.PathLike, format: str | None = None) -> None:
     """Write graph to path; load_graph(path) round-trips to an equal graph."""
-    fmt = format or _infer_format(path)
-    if fmt == "dimacs_col":
-        if np.any(graph.w != 1.0):
-            raise ValueError("DIMACS .col cannot represent non-unit weights")
-        edges = map("e {} {}\n".format, (graph.ei + 1).tolist(), (graph.ej + 1).tolist())
-        text = f"p edge {graph.n} {graph.edge_count}\n" + "".join(edges)
-    elif fmt == "json_edges":
-        edges = list(map(list, zip(graph.ei.tolist(), graph.ej.tolist(), graph.w.tolist())))
-        text = json.dumps({"n": graph.n, "edges": edges}) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    text = _format(path, format)[2](graph)
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def _infer_format(path) -> str:
+def _format(path, fmt: str | None) -> tuple:
+    """The FORMATS entry of fmt, or of path's extension when fmt is not given."""
     ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".col":
-        return "dimacs_col"
-    if ext == ".json":
-        return "json_edges"
-    raise ValueError(f"cannot infer graph format from {path!r}; pass format=")
+    fmt = fmt or next((name for name, entry in FORMATS.items() if entry[0] == ext), None)
+    if fmt is None:
+        raise ValueError(f"cannot infer graph format from {path!r}; pass format=")
+    if fmt not in tuple(FORMATS):  # a tuple, so an unhashable fmt is just unknown
+        raise ValueError(f"unknown format {fmt!r}; expected one of {tuple(FORMATS)}")
+    return FORMATS[fmt]
 
 
 def _load_dimacs(path) -> Graph:
+    """Read a DIMACS file in one pass. The endpoint tokens convert in one
+    numpy call; only when that fails, or a value is out of range, does a loop
+    over the kept tokens name the first bad line. A line that ended the pass
+    early is reported after a bad endpoint on an earlier line, so the first
+    bad line in file order wins."""
+    n, declared_m, edges, error = _read_dimacs(path)
     try:
-        n, declared_m, parts = _read_dimacs(path)
         # numpy parses each token as int() does, raising ValueError or OverflowError
-        i, j = (np.array(parts[k::3], dtype=np.int64) for k in (1, 2))
+        i, j = (np.array(edges[k::3], dtype=np.int64) for k in (1, 2))
         in_range = i.size == 0 or (min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= n)
-    except (ValueError, OverflowError):  # GraphFormatError is a ValueError
+    except (ValueError, OverflowError):
         in_range = False
     if not in_range:
-        # read again checking each edge line as it comes, so the first bad line raises
-        n, declared_m, parts = _read_dimacs(path, check_edges=True)
-        i, j = (np.array(parts[k::3], dtype=np.int64) for k in (1, 2))
+        for lineno, *tokens in zip(edges[0::3], edges[1::3], edges[2::3]):
+            i, j = (_dimacs_int(path, lineno, token) for token in tokens)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise GraphFormatError(f"{path}:{lineno}: node index out of range for n={n}")
+    if error is not None:
+        raise error
     g = _graph(n, _canonical_edges(n, i - 1, j - 1, np.ones(len(i)),
-                                   lambda k: f"{path}:{_edge_lineno(path, k)}: "))
+                                   lambda k: f"{path}:{edges[3 * k]}: "))
     if declared_m is not None and g.edge_count != declared_m:
         raise GraphFormatError(
             f"{path}: declared {declared_m} edges, found {g.edge_count}"
@@ -323,58 +317,43 @@ def _load_dimacs(path) -> Graph:
     return g
 
 
-def _read_dimacs(path, check_edges: bool = False) -> tuple[int, int, list[str]]:
-    """The node count, the declared edge count and the split edge lines,
-    flattened: "e", i, j for each.
-
-    Each line's syntax is checked as it is read. With check_edges, so are
-    each edge line's endpoints: integers within the node count.
-    """
-    n = None
-    declared_m = None
-    edge_parts = []
+def _read_dimacs(path) -> tuple:
+    """The node count, the declared edge count, the edge lines flattened
+    (line number, i token, j token for each), and the GraphFormatError of
+    the line that ended the pass early, or None. Only syntax is checked."""
+    n = declared_m = None
+    edges = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("c"):
-                continue
-            if parts[0] == "e":
-                if n is None:
-                    raise GraphFormatError(f"{path}:{lineno}: edge before problem line")
-                if len(parts) != 3:
-                    raise GraphFormatError(f"{path}:{lineno}: malformed edge line")
-                if check_edges:
-                    i, j = (_dimacs_int(path, lineno, part) - 1 for part in parts[1:])
-                    if not (0 <= i < n and 0 <= j < n):
-                        raise GraphFormatError(
-                            f"{path}:{lineno}: node index out of range for n={n}"
-                        )
-                edge_parts += parts
-            elif parts[0] == "p":
-                if n is not None:
-                    raise GraphFormatError(f"{path}:{lineno}: second problem line")
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
-                n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
-                if n < 0 or declared_m < 0:
-                    raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
-                if n > MAX_NODE_COUNT:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: node count must be at most 2**63 - 1 (int64), got {n}"
-                    )
-            else:
-                raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                parts = raw.split()
+                if not parts or parts[0].startswith("c"):
+                    continue
+                if parts[0] == "e":
+                    if n is None:
+                        raise GraphFormatError(f"{path}:{lineno}: edge before problem line")
+                    if len(parts) != 3:
+                        raise GraphFormatError(f"{path}:{lineno}: malformed edge line")
+                    parts[0] = lineno
+                    edges += parts
+                elif parts[0] == "p":
+                    if n is not None:
+                        raise GraphFormatError(f"{path}:{lineno}: second problem line")
+                    if len(parts) != 4 or parts[1] != "edge":
+                        raise GraphFormatError(f"{path}:{lineno}: malformed problem line")
+                    n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
+                    if n < 0 or declared_m < 0:
+                        raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
+                    if n > MAX_NODE_COUNT:
+                        raise GraphFormatError(f"{path}:{lineno}: node count must be at most"
+                                               f" 2**63 - 1 (int64), got {n}")
+                else:
+                    raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
+        except GraphFormatError as exc:
+            return n, declared_m, edges, exc
     if n is None:
         raise GraphFormatError(f"{path}: missing problem line")
-    return n, declared_m, edge_parts
-
-
-def _edge_lineno(path, k: int) -> int:
-    """The line number of edge line k (from 0) of a DIMACS file that parsed."""
-    with open(path) as fh:
-        edge_lines = (lineno for lineno, raw in enumerate(fh, start=1)
-                      if raw.split(None, 1)[:1] == ["e"])
-        return next(islice(edge_lines, k, None))
+    return n, declared_m, edges, None
 
 
 def _dimacs_int(path, lineno: int, field: str) -> int:
@@ -410,3 +389,22 @@ def _load_json(path) -> Graph:
     return _graph(doc["n"], _canonical_edges(doc["n"], _ids(i), _ids(j),
                                              np.where(weighted, _weights(last), 1.0),
                                              lambda k: f"{path}: "))
+
+
+def _dimacs_text(graph: Graph) -> str:
+    if np.any(graph.w != 1.0):
+        raise ValueError("DIMACS .col cannot represent non-unit weights")
+    edges = map("e {} {}\n".format, (graph.ei + 1).tolist(), (graph.ej + 1).tolist())
+    return f"p edge {graph.n} {graph.edge_count}\n" + "".join(edges)
+
+
+def _json_text(graph: Graph) -> str:
+    edges = list(map(list, zip(graph.ei.tolist(), graph.ej.tolist(), graph.w.tolist())))
+    return json.dumps({"n": graph.n, "edges": edges}) + "\n"
+
+
+# format name: (file extension, loader, writer of the file's text)
+FORMATS = {
+    "dimacs_col": (".col", _load_dimacs, _dimacs_text),
+    "json_edges": (".json", _load_json, _json_text),
+}

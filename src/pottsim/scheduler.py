@@ -148,7 +148,6 @@ def solve_batch(
     params: DynamicsParams | None = None,
     plan: StagePlan | None = None,
     seeds=(0,),
-    baseline_cut: float | None = None,
 ) -> list[SolveResult]:
     """Solve 2^m-coloring by m staged binary splits, once per seed.
 
@@ -157,8 +156,9 @@ def solve_batch(
     each result is bit-identical to solving that seed alone. m = 1 is plain
     max-cut; m = 2 is the 4-coloring machine. Stages beyond the first reuse
     the t_relax / t_anneal2 / t_lock2 durations. Each result's wall_time is
-    its share of the batch's wall time. A graph with edges and a baseline
-    cut that is not positive raises ValueError before any integration.
+    its share of the batch's wall time. Each cut_accuracy is against
+    oracle.cut_baseline(graph); a graph with edges whose baseline is not
+    positive raises ValueError before any integration.
     """
     if m < 1:
         raise ValueError("need at least one stage")
@@ -172,8 +172,7 @@ def solve_batch(
     params.check_stability(graph)
 
     t0 = _time.perf_counter()
-    if baseline_cut is None:
-        baseline_cut = cut_baseline(graph)[0]
+    baseline_cut = cut_baseline(graph)[0]
     if graph.edge_count and not baseline_cut > 0:  # NaN is not positive either
         # fail before integrating: no cut accuracy exists against it
         raise ValueError("baseline cut must be positive")
@@ -231,10 +230,9 @@ def solve_kcoloring(
     params: DynamicsParams | None = None,
     plan: StagePlan | None = None,
     seed: int = 0,
-    baseline_cut: float | None = None,
 ) -> SolveResult:
     """Solve 2^m-coloring for one seed; see solve_batch."""
-    return solve_batch(graph, m, params, plan, [seed], baseline_cut=baseline_cut)[0]
+    return solve_batch(graph, m, params, plan, [seed])[0]
 
 
 def solve_4coloring(
@@ -242,7 +240,6 @@ def solve_4coloring(
     params: DynamicsParams | None = None,
     plan: StagePlan | None = None,
     seed: int = 0,
-    baseline_cut: float | None = None,
 ) -> SolveResult:
     """Two-stage 4-coloring: max-cut, regroup, then per-group max-cut."""
-    return solve_kcoloring(graph, 2, params, plan, seed, baseline_cut=baseline_cut)
+    return solve_kcoloring(graph, 2, params, plan, seed)

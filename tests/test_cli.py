@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pottsim.cli import RunConfig, main
-from pottsim.graph import Graph, kings_graph, load_graph, save_graph
+from pottsim.graph import FORMATS, Graph, kings_graph, load_graph, save_graph
 from pottsim.oracle import cut_baseline
 from pottsim.seeds import mix_seed
 
@@ -32,6 +32,17 @@ class TestGen:
         g = load_graph(out)
         assert g.n == 1
         assert g.edge_count == 0
+
+    @pytest.mark.parametrize("fmt", list(FORMATS))
+    def test_format_flag_writes_that_format(self, fmt, tmp_path):
+        out = tmp_path / "g.out"
+        assert main(["gen", "--kings", "3", "-o", str(out), "--format", fmt]) == 0
+        assert load_graph(out, fmt) == kings_graph(3)
+
+    def test_format_choices_are_the_format_table(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen", "--kings", "3", "-o", str(tmp_path / "g.col"), "--format", "csv"])
+        assert f"(choose from {', '.join(map(repr, FORMATS))})" in capsys.readouterr().err
 
     def test_side_zero_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

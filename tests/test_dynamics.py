@@ -128,6 +128,11 @@ class TestStep:
         with pytest.raises(ValueError, match="unstable"):
             DynamicsParams().check_stability(signed)
 
+    def test_huge_rate_message_stays_short(self):
+        with pytest.raises(ValueError, match="unstable") as info:
+            DynamicsParams(locking=1e300).check_stability(kings_graph(3))
+        assert "2e+298" in str(info.value) and len(str(info.value)) < 120
+
     def test_rejected_step_diverges(self):
         # integrate has no guard: there the anti-phase fixed point of the
         # heavy edge repels, each step doubling the distance to it

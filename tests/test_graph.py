@@ -1,5 +1,10 @@
+import builtins
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -617,3 +622,67 @@ class TestFileIO:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             load_graph(tmp_path / "g.txt")
+
+
+DIMACS_CASES = {
+    "valid": ("p edge 3 2\ne 1 2\ne 2 3\n", None),
+    "unknown-line": ("p edge 3 1\ne 1 2\nx 1 2\n", "3: unknown line type 'x'"),
+    "non-integer": ("p edge 3 1\ne 1 2\ne 2 y\n", "3: 'y' is not an integer"),
+    "out-of-range": ("p edge 2 1\ne 1 3\n", "2: node index out of range for n=2"),
+    "self-loop": ("p edge 3 2\ne 1 2\ne 3 3\n", "3: self-loop on node 2"),
+    "duplicate": ("p edge 3 2\ne 1 2\ne 2 1\n", "3: duplicate edge (0, 1)"),
+    "count-mismatch": ("p edge 3 2\ne 1 2\n", " declared 2 edges, found 1"),
+}
+
+
+class TestOneRead:
+    """A DIMACS file is opened once, whatever its error, so a named pipe
+    loads too."""
+
+    @pytest.mark.parametrize("text,message", DIMACS_CASES.values(), ids=DIMACS_CASES.keys())
+    def test_opens_the_file_once(self, text, message, tmp_path, monkeypatch):
+        path = tmp_path / "g.col"
+        path.write_text(text)
+        opened = []
+        monkeypatch.setattr(pottsim.graph, "open",
+                            lambda *args, **kw: opened.append(args) or builtins.open(*args, **kw),
+                            raising=False)
+        if message is None:
+            assert load_graph(path).edge_count == 2
+        else:
+            with pytest.raises(GraphFormatError) as info:
+                load_graph(path)
+            assert str(info.value) == f"{path}:{message}"
+        assert opened == [(path,)]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("case", ["duplicate", "out-of-range"])
+    def test_named_pipe_error_names_its_line(self, case, tmp_path):
+        text, message = DIMACS_CASES[case]
+        path = tmp_path / "g.col"
+        os.mkfifo(path)
+        src = os.path.dirname(os.path.dirname(pottsim.graph.__file__))
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys\nfrom pottsim.graph import load_graph\n"
+             "try:\n    load_graph(sys.argv[1])\nexcept ValueError as exc:\n    print(exc)",
+             str(path)],
+            stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            out, _ = child.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.communicate()
+            out = "timed out: the pipe was opened a second time"
+        finally:
+            # a reader of our own lets the writer's open return if the child never opened
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(10)
+        assert not writer.is_alive()
+        assert out.strip() == f"{path}:{message}"

@@ -340,16 +340,12 @@ class TestCutBaseline:
     def test_value_and_kind(self, graph, value, kind):
         assert _resolve_cut_baseline(graph) == (value, kind)
 
-    @pytest.mark.parametrize("graph,baseline", [
-        (Graph(2, [(0, 1, -1.0)]), None),
-        (EDGE, 0.0),
-        (EDGE, float("nan")),
-    ], ids=["negative-edge", "zero-baseline", "nan-baseline"])
-    def test_non_positive_baseline_raises_before_integrating(self, graph, baseline, monkeypatch):
+    @pytest.mark.parametrize("graph", [Graph(2, [(0, 1, -1.0)])], ids=["negative-edge"])
+    def test_non_positive_baseline_raises_before_integrating(self, graph, monkeypatch):
         calls = []
         monkeypatch.setattr("pottsim.scheduler.integrate", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="baseline cut must be positive"):
-            solve_kcoloring(graph, 1, seed=0, baseline_cut=baseline)
+            solve_kcoloring(graph, 1, seed=0)
         assert calls == []
 
     def test_upper_bound_counts_only_positive_weights(self):
