@@ -59,17 +59,17 @@ The coupling term has two edge layouts, chosen once per window; both give
 the same bits. The compacted layout gathers both endpoints of every gated
 edge and scatters the sines with np.bincount, which adds each node's terms
 in edge order from 0.0. The lattice layout groups the gated edges by their
-offset d = j - i in the flat half-phase array: class d is the slice pair
-half[:-d] - half[d:], with weight dt * coupling * w where a gated edge sits
-and 0 in every other slot, including those that straddle two iterations.
-One half_angle_sine call covers the concatenated classes; the source sums
-add the classes with src[:-d] += s_d in increasing d and the target sums
-with dst[d:] += s_d in decreasing d, each from 0.0, and the drift is
-src - dst. Edges are sorted by (i, j), so a node's edges as source come in
-increasing d and as target in decreasing d: the order np.bincount adds
-them in. An empty slot adds t * 0 / (1 + t^2) = +-0, and adding +-0 leaves
-a sum that started at +0.0 unchanged, sign included. The lattice layout
-wins when the slices are dense and long; LATTICE_MIN_NODES and
+offset d = j - i in the flat half-phase array, one row per class of
+(K, B * n) slot arrays: slot (k, i) is the pair (i, i + d_k), weighted
+dt * coupling * w where a gated edge sits and 0 elsewhere, straddling slots
+included; a row's last d_k slots are never summed. One half_angle_sine call
+covers all rows; the source sums add src[:-d] += s[k, :-d] in increasing d
+and the target sums dst[d:] += s[k, :-d] in decreasing d, each from 0.0,
+and the drift is src - dst. Edges are sorted by (i, j), so a node's edges
+as source come in increasing d and as target in decreasing d: the order
+np.bincount adds them in. An empty slot adds t * 0 / (1 + t^2) = +-0, and
+adding +-0 leaves a sum that started at +0.0 unchanged, sign included. The
+lattice layout wins when the slices are dense and long; LATTICE_MIN_NODES and
 LATTICE_MAX_SLOTS_PER_EDGE say when. An empty slot between two iterations
 would carry a NaN from one row into the next (0 * tan(NaN) is NaN), which is
 one more reason integrate rejects non-finite phases and noise. From finite
@@ -80,7 +80,8 @@ its noise, so only weights or noise near the float range could get there.
 Noise is drawn ahead in blocks of whole steps and kept step-major, one row
 of B * n values per step, so a step adds its noise with one contiguous add.
 Each iteration's block, drawn into a contiguous (block, n) scratch or read
-from explicit noise xi, is copied into that iteration's columns.
+from explicit noise xi, is scaled by noise * sqrt(dt) / 2 as it is written
+into that iteration's columns.
 """
 
 from __future__ import annotations
@@ -117,12 +118,12 @@ NOISE_BLOCK_BYTES = 1024 * 1024
 
 # A window evaluates its coupling term in the lattice layout, one slice pair
 # of the flat (B * n) half phases per edge offset d = j - i, when the B * n
-# phases number at least LATTICE_MIN_NODES and all the slices together hold
-# at most LATTICE_MAX_SLOTS_PER_EDGE slots per gated edge; otherwise it
-# gathers and scatters the compacted gated edges. Below the floor, per-call
-# overhead outweighs the contiguous arithmetic; above the fill bound, the
-# empty slots do. The all-on gate of a King's graph fills about one slot per
-# edge (4 classes: 1, s - 1, s and s + 1).
+# phases number at least LATTICE_MIN_NODES and its K offset classes, B * n
+# slots each, hold at most LATTICE_MAX_SLOTS_PER_EDGE slots per gated edge;
+# otherwise it gathers and scatters the compacted gated edges. Below the
+# floor, per-call overhead outweighs the contiguous arithmetic; above the
+# fill bound, the empty slots do. The all-on gate of a King's graph fills
+# about one slot per edge (4 classes: 1, s - 1, s and s + 1).
 LATTICE_MIN_NODES = 1000
 LATTICE_MAX_SLOTS_PER_EDGE = 2
 
@@ -256,7 +257,7 @@ class TrajectoryRecorder:
 
     def to_csv(self, path) -> None:
         n = len(self.samples[0]) if self.samples else 0
-        header = "time," + ",".join(f"theta_{i}" for i in range(n))
+        header = ",".join(["time"] + [f"theta_{i}" for i in range(n)])
         rows = np.column_stack([np.array(self.times), np.array(self.samples)])
         np.savetxt(path, rows, delimiter=",", header=header, comments="")
 
@@ -296,36 +297,35 @@ def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge
     """The same coupling term read as one slice pair per offset d = j - i,
     or None where the compacted layout pays (see LATTICE_MIN_NODES).
 
-    Slot i of class d stands for the pair (i, i + d) of the flat half phases
-    and holds edge_w where a gated edge sits and 0 elsewhere. Source sums add
-    the classes in increasing d and target sums in decreasing d, each from
-    0.0; that is np.bincount's order over edges sorted by (i, j), and an
-    empty slot adds +-0, so the result is _compacted_coupling's, bit for bit.
+    Row k of the (K, B * n) slot arrays is class d_k: slot (k, i) is the
+    pair (i, i + d_k), weighted edge_w where a gated edge sits and 0
+    elsewhere; a row's last d_k slots are never summed. Source sums add the
+    rows in increasing d and target sums in decreasing d, each from 0.0;
+    that is np.bincount's order over edges sorted by (i, j), and an empty
+    slot adds +-0, so the result is _compacted_coupling's, bit for bit.
     """
     size = len(half)
     classes = np.flatnonzero(np.bincount(offset))
-    lengths = size - classes
-    if size < LATTICE_MIN_NODES or lengths.sum() > LATTICE_MAX_SLOTS_PER_EDGE * len(offset):
+    if size < LATTICE_MIN_NODES or len(classes) * size > LATTICE_MAX_SLOTS_PER_EDGE * len(offset):
         return None
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    weights = np.zeros(ends[-1])
-    weights[starts[np.searchsorted(classes, offset)] + ei] = edge_w
-    diff = np.empty(ends[-1])
+    weights = np.zeros((len(classes), size))
+    weights[np.searchsorted(classes, offset), ei] = edge_w
+    diff = np.zeros((len(classes), size))
     src, dst = np.empty(size), np.empty(size)
-    spans = [(d, slice(a, b)) for d, a, b in zip(classes.tolist(), starts.tolist(), ends.tolist())]
-    pairs = [(half[:-d], half[d:], diff[span]) for d, span in spans]
+    rows = list(enumerate(classes.tolist()))
+    # views made once: slicing them per call cost 8 % of a call at kings 7 x 40
+    pairs = [(half[:-d], half[d:], diff[k, :-d]) for k, d in rows]
 
     def coupling() -> np.ndarray:
         for left, right, out in pairs:
             np.subtract(left, right, out=out)
         s = half_angle_sine(diff, weights)
         src.fill(0.0)
-        for d, span in spans:
-            src[:-d] += s[span]
+        for k, d in rows:
+            src[:-d] += s[k, :-d]
         dst.fill(0.0)
-        for d, span in reversed(spans):
-            dst[d:] += s[span]
+        for k, d in reversed(rows):
+            dst[d:] += s[k, :-d]
         return src - dst
 
     return coupling
@@ -379,8 +379,8 @@ def integrate(
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     batch, n = phases.shape
     active = _broadcast("gate.active", gate.active, (batch, graph.edge_count))
-    _broadcast("shil.enabled", shil.enabled, (batch, n))
-    _broadcast("shil.select", shil.select, (batch, n))
+    enabled = _broadcast("shil.enabled", shil.enabled, (batch, n))
+    select = _broadcast("shil.select", shil.select, (batch, n))
     if xi is not None and np.shape(xi) != (batch, n_steps, n):
         raise ValueError(f"xi has shape {np.shape(xi)}, need {(batch, n_steps, n)}")
     # a NaN or inf would spread through every sum it enters; in the lattice
@@ -395,12 +395,11 @@ def integrate(
     # because injection pulls toward phi
     edge_w = (params.dt * params.coupling) * graph.w[edge]
     lock_w = None
-    if params.locking > 0.0 and np.any(shil.enabled):
-        lock_w = np.where(shil.enabled, -params.dt * params.locking, 0.0)
-        select = np.where(shil.enabled, shil.select, 0.0)
+    if params.locking > 0.0 and enabled.any():
+        lock_w = np.where(enabled, -params.dt * params.locking, 0.0).reshape(-1)
+        select = np.where(enabled, select, 0.0).reshape(-1)
         if not np.isfinite(select).all():
             raise ValueError("shil.select must be finite where injection is on, got NaN or inf")
-        lock_w, select = (np.broadcast_to(a, (batch, n)).reshape(-1) for a in (lock_w, select))
     # step-major noise: row j holds step j's noise for all B * n phases
     noise_buf, block = None, max(n_steps, 1)
     if params.noise > 0.0:
@@ -423,11 +422,11 @@ def integrate(
         if noise_buf is not None:
             for b in range(batch):
                 if xi is None:
-                    rows = rngs[b].standard_normal(out=draws[:c])
+                    drawn = rngs[b].standard_normal(out=draws[:c])
                 else:
-                    rows = xi[b, start:start + c]
-                noise_buf[:c, b * n:(b + 1) * n] = rows
-            noise_buf[:c] *= half_scale
+                    drawn = xi[b, start:start + c]
+                np.multiply(drawn, half_scale, dtype=np.float64,  # whatever xi's dtype
+                            out=noise_buf[:c, b * n:(b + 1) * n])
         for j in range(c):
             if recorder is not None:
                 recorder.record(PhaseState(half[:n] + half[:n], time), start + j)

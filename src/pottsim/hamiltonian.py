@@ -32,16 +32,17 @@ def spins_to_sigma(values) -> np.ndarray:
     return np.where(values == 0, 1.0, -1.0)
 
 
-def _check_len(graph: Graph, vec, name: str) -> np.ndarray:
+def _check_shape(vec, shape: tuple, name: str) -> np.ndarray:
+    """vec as an array of the given shape, or a ValueError that names it."""
     arr = np.asarray(vec)
-    if arr.shape[0] != graph.n:
-        raise ValueError(f"{name} has length {arr.shape[0]}, expected {graph.n}")
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, need {shape}")
     return arr
 
 
 def ising_energy(graph: Graph, sigma) -> float:
     """Sum of J_ij * sigma_i * sigma_j over edges, sigma in {-1, +1}."""
-    sigma = _check_len(graph, sigma, "sigma")
+    sigma = _check_shape(sigma, (graph.n,), "sigma")
     return float(np.sum(graph.w * sigma[graph.ei] * sigma[graph.ej]))
 
 
@@ -50,13 +51,13 @@ def phase_energy(graph: Graph, phases) -> float:
 
     Serves both the two-phase Ising case and the N-phase vector-Potts case.
     """
-    phases = _check_len(graph, phases, "phases")
+    phases = _check_shape(phases, (graph.n,), "phases")
     return float(np.sum(graph.w * np.cos(phases[graph.ei] - phases[graph.ej])))
 
 
 def potts_energy(graph: Graph, spins) -> float:
     """Sum of J_ij over monochromatic edges (Kronecker-delta interaction)."""
-    spins = _check_len(graph, spins, "spins")
+    spins = _check_shape(spins, (graph.n,), "spins")
     return float(np.sum(graph.w * (spins[graph.ei] == spins[graph.ej])))
 
 
@@ -85,16 +86,12 @@ def lyapunov_energy(graph: Graph, phases, gate, shil, params) -> float:
 
     The injection term has minima exactly at phi_i and phi_i + pi.
     """
-    phases = _check_len(graph, phases, "phases")
-    active = np.asarray(gate.active, dtype=bool)
-    if active.shape[0] != graph.edge_count:
-        raise ValueError("gate length does not match edge count")
+    phases = _check_shape(phases, (graph.n,), "phases")
+    active = _check_shape(gate.active, (graph.edge_count,), "gate.active").astype(bool)
     coupling = np.sum(
         graph.w[active] * np.cos(phases[graph.ei[active]] - phases[graph.ej[active]])
     )
-    enabled = np.asarray(shil.enabled, dtype=bool)
-    if enabled.shape[0] != graph.n:
-        raise ValueError("injection config length does not match node count")
-    phi = np.asarray(shil.select, dtype=np.float64)
+    enabled = _check_shape(shil.enabled, (graph.n,), "shil.enabled").astype(bool)
+    phi = _check_shape(shil.select, (graph.n,), "shil.select").astype(np.float64)
     locking = np.sum(np.cos(2.0 * (phases[enabled] - phi[enabled])))
     return float(params.coupling * coupling - 0.5 * params.locking * locking)

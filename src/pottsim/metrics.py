@@ -34,8 +34,8 @@ __all__ = [
 def coloring_accuracy(graph: Graph, coloring) -> float:
     """Fraction of edges with differently colored endpoints; 1.0 if no edges."""
     coloring = np.asarray(coloring)
-    if len(coloring) != graph.n:
-        raise ValueError("coloring length does not match node count")
+    if coloring.shape != (graph.n,):
+        raise ValueError(f"coloring has shape {coloring.shape}, need ({graph.n},)")
     if graph.edge_count == 0:
         return 1.0
     good = np.count_nonzero(coloring[graph.ei] != coloring[graph.ej])
@@ -44,6 +44,9 @@ def coloring_accuracy(graph: Graph, coloring) -> float:
 
 def cut_value(graph: Graph, partition) -> float:
     """Total weight of edges crossing the partition, by Graph.cut_sums."""
+    partition = np.asarray(partition)
+    if partition.shape != (graph.n,):
+        raise ValueError(f"partition has shape {partition.shape}, need ({graph.n},)")
     return float(graph.cut_sums(partition))
 
 
@@ -91,8 +94,10 @@ class SolveResult:
 
     SCHEMA_VERSION = 1
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        """The result file's fields; wall_time is left out, so that repeated
+        runs write byte-identical files."""
+        return {
             "schema_version": self.SCHEMA_VERSION,
             "seed": self.seed,
             "partition": self.partition.tolist(),
@@ -101,10 +106,6 @@ class SolveResult:
             "coloring_accuracy": self.coloring_accuracy,
             "unlocked_stages": self.unlocked_stages,
         }
-        # timing is excluded by default so repeated runs are byte-identical
-        if include_timing:
-            doc["wall_time"] = self.wall_time
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolveResult":

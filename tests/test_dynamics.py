@@ -508,6 +508,11 @@ class TestTrajectoryRecorder:
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.0, 1.0]
 
+    def test_csv_of_no_samples_is_its_time_header(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        TrajectoryRecorder().to_csv(path)
+        assert path.read_text() == "time\n"
+
     def test_rejects_zero_sample_every(self):
         with pytest.raises(ValueError, match="sample_every"):
             TrajectoryRecorder(sample_every=0)

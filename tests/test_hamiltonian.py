@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,3 +174,26 @@ class TestLyapunovEnergy:
             lyapunov_energy(
                 EDGE, [0.0, 0.0], CouplingGate(np.ones(3, dtype=bool)), ShilConfig.off(2), params
             )
+
+
+class TestArrayShapes:
+    """An array of the wrong shape fails by name instead of giving a number:
+    an all-ones (3, 3) array on the triangle used to score 9.0."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), ()])
+    @pytest.mark.parametrize("energy,name", [(ising_energy, "sigma"), (phase_energy, "phases"),
+                                             (potts_energy, "spins")])
+    def test_node_energies(self, energy, name, shape):
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}, need (3,)")):
+            energy(TRIANGLE, np.ones(shape))
+
+    @pytest.mark.parametrize("name,shape", [("phases", ()), ("gate.active", (3, 3)),
+                                            ("shil.enabled", (3, 3)), ("shil.select", (3, 3))])
+    def test_lyapunov_energy(self, name, shape):
+        args = {"phases": np.zeros(3), "gate.active": np.ones(3, dtype=bool),
+                "shil.enabled": np.ones(3, dtype=bool), "shil.select": np.zeros(3)}
+        args[name] = np.ones(shape, dtype=args[name].dtype)
+        gate = CouplingGate(args["gate.active"])
+        shil = ShilConfig(args["shil.enabled"], args["shil.select"])
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}, need (3,)")):
+            lyapunov_energy(TRIANGLE, args["phases"], gate, shil, DynamicsParams())

@@ -481,6 +481,18 @@ class TestLayoutRule:
         phases = np.random.default_rng(4).uniform(0.0, TWO_PI, (1, graph.n))
         assert picked_layout(phases, graph, CouplingGate.all_on(graph)) == "compacted"
 
+    @pytest.mark.parametrize("gated,layout", [(2048, "lattice"), (2047, "compacted")])
+    def test_slot_bound(self, gated, layout):
+        # B * n = 4 * 256 = 1024 phases in 4 offset classes: 4096 slots, which
+        # is 2 per gated edge at 2048 edges, counting each row's unsummed tail
+        graph = kings_graph(16)
+        active = np.zeros(4 * graph.edge_count, dtype=bool)
+        active[:gated] = True  # all of row 0, so every class keeps an edge
+        gate = CouplingGate(active.reshape(4, graph.edge_count))
+        assert len(np.unique((graph.ej - graph.ei)[gate.active[0]])) == 4
+        phases = np.random.default_rng(5).uniform(0.0, TWO_PI, (4, graph.n))
+        assert picked_layout(phases, graph, gate) == layout
+
 
 class TestLatticeLayout:
     """Windows in the lattice layout match the full-angle loop bit for bit."""
