@@ -82,6 +82,17 @@ of B * n values per step, so a step adds its noise with one contiguous add.
 Each iteration's block, drawn into a contiguous (block, n) scratch or read
 from explicit noise xi, is scaled by noise * sqrt(dt) / 2 as it is written
 into that iteration's columns.
+
+Every float64 array the step loop reads or writes in full is made once per
+window by _line_aligned and starts on a 64-byte cache line, and so does
+each row of a 2-D one: the half phases, the noise rows, the edge and lock
+weights, the lock references, the lattice slots and sums and the sine's
+buffers. Each step writes into them with out= and in place. NumPy's SIMD
+loops run slower from an address off a line, and malloc starts large
+arrays 16 bytes past one: on a 2-core AVX-512 Xeon VM, a * a into a third
+array of 25 392 doubles took 16.8 us from there against 8.0 us from a line,
+and a - b 16.5 against 8.8 us. Every operation keeps its operands and its
+order, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -127,6 +138,9 @@ NOISE_BLOCK_BYTES = 1024 * 1024
 LATTICE_MIN_NODES = 1000
 LATTICE_MAX_SLOTS_PER_EDGE = 2
 
+# the cache line every buffer of the step loop, and each of its rows, starts on
+LINE_BYTES = 64
+
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:
     """Wrap angles into [0, 2*pi); values landing exactly on 2*pi map to 0.
@@ -144,12 +158,36 @@ def half_angle_sine(half: np.ndarray, scale) -> np.ndarray:
     With scale 2 this is sin(2 * half) to within 2 ulp. scale broadcasts
     against half, so it can carry per-edge or per-node weights.
     """
-    t = np.tan(half)
-    denom = t * t
+    half = np.asarray(half, dtype=np.float64)
+    return _half_angle_sine_into(half, scale, np.empty(half.shape), np.empty(half.shape))
+
+
+def _half_angle_sine_into(half: np.ndarray, scale, t: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """half_angle_sine written into t, which may be half itself, with denom
+    as scratch; returns t."""
+    np.tan(half, out=t)
+    np.multiply(t, t, out=denom)
     denom += 1.0
     t *= scale
     t /= denom
     return t
+
+
+def _line_aligned(shape: tuple, fill=None) -> np.ndarray:
+    """A float64 array of shape, uninitialised or set to fill, that starts on
+    a LINE_BYTES boundary; the last axis is padded to whole lines, so every
+    row of a 2-D array starts on one too."""
+    *rows, cols = shape
+    per_line = LINE_BYTES // 8
+    padded = -(-cols // per_line) * per_line
+    count = math.prod(rows) * padded
+    raw = np.empty(8 * count + LINE_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % LINE_BYTES
+    lines = raw[start:start + 8 * count].view(np.float64).reshape(*rows, padded)
+    out = lines[..., :cols]
+    if fill is not None:
+        out[...] = fill
+    return out
 
 
 @dataclass(frozen=True)
@@ -247,8 +285,9 @@ class TrajectoryRecorder:
     samples: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be at least 1, got {self.sample_every}")
+        every = self.sample_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ValueError(f"sample_every must be an integer >= 1 (not bool), got {every!r}")
 
     def record(self, state: PhaseState, step_index: int) -> None:
         if step_index % self.sample_every == 0:
@@ -283,9 +322,12 @@ def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w
     """The coupling term of the gated edges (ei, ej) of the flat half phases:
     gathered per edge, scattered per node by np.bincount."""
     size = len(half)
+    edge_w = _line_aligned(edge_w.shape, edge_w)
+    s, denom = _line_aligned(edge_w.shape), _line_aligned(edge_w.shape)
 
     def coupling() -> np.ndarray:
-        s = half_angle_sine(half[ei] - half[ej], edge_w)
+        np.subtract(half[ei], half[ej], out=s)
+        _half_angle_sine_into(s, edge_w, s, denom)
         drift = np.bincount(ei, weights=s, minlength=size)
         drift -= np.bincount(ej, weights=s, minlength=size)
         return drift
@@ -308,10 +350,12 @@ def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge
     classes = np.flatnonzero(np.bincount(offset))
     if size < LATTICE_MIN_NODES or len(classes) * size > LATTICE_MAX_SLOTS_PER_EDGE * len(offset):
         return None
-    weights = np.zeros((len(classes), size))
+    weights = _line_aligned((len(classes), size), 0.0)
     weights[np.searchsorted(classes, offset), ei] = edge_w
-    diff = np.zeros((len(classes), size))
-    src, dst = np.empty(size), np.empty(size)
+    # the sine runs in place on the differences; a row's unwritten tail holds
+    # 0, whose sine, weighted 0, is 0 again
+    diff, denom = _line_aligned(weights.shape, 0.0), _line_aligned(weights.shape)
+    src, dst = _line_aligned((size,)), _line_aligned((size,))
     rows = list(enumerate(classes.tolist()))
     # views made once: slicing them per call cost 8 % of a call at kings 7 x 40
     pairs = [(half[:-d], half[d:], diff[k, :-d]) for k, d in rows]
@@ -319,14 +363,15 @@ def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge
     def coupling() -> np.ndarray:
         for left, right, out in pairs:
             np.subtract(left, right, out=out)
-        s = half_angle_sine(diff, weights)
+        s = _half_angle_sine_into(diff, weights, diff, denom)
         src.fill(0.0)
         for k, d in rows:
             src[:-d] += s[k, :-d]
         dst.fill(0.0)
         for k, d in reversed(rows):
             dst[d:] += s[k, :-d]
-        return src - dst
+        np.subtract(src, dst, out=src)
+        return src
 
     return coupling
 
@@ -394,12 +439,15 @@ def integrate(
     # phases, so they are half of theta's. The lock weight is negative
     # because injection pulls toward phi
     edge_w = (params.dt * params.coupling) * graph.w[edge]
+    size = batch * n
     lock_w = None
     if params.locking > 0.0 and enabled.any():
-        lock_w = np.where(enabled, -params.dt * params.locking, 0.0).reshape(-1)
-        select = np.where(enabled, select, 0.0).reshape(-1)
+        select = _line_aligned((size,), np.where(enabled, select, 0.0).reshape(-1))
         if not np.isfinite(select).all():
             raise ValueError("shil.select must be finite where injection is on, got NaN or inf")
+        lock_w = _line_aligned((size,), np.where(enabled, -params.dt * params.locking, 0.0)
+                               .reshape(-1))
+        lock, lock_denom = _line_aligned((size,)), _line_aligned((size,))
     # step-major noise: row j holds step j's noise for all B * n phases
     noise_buf, block = None, max(n_steps, 1)
     if params.noise > 0.0:
@@ -408,9 +456,9 @@ def integrate(
             raise ValueError("noise > 0 requires an rng per phase row or explicit xi: "
                              f"got {len(rngs or ())} rngs for {batch} phase rows")
         block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * (batch + 1) * max(n, 1))))
-        noise_buf = np.empty((block, batch * n))
+        noise_buf = _line_aligned((block, size))
         draws = np.empty((block, n)) if xi is None else None
-    half = 0.5 * phases.reshape(-1)  # h = theta / 2, exact
+    half = _line_aligned((size,), 0.5 * phases.reshape(-1))  # h = theta / 2, exact
     coupling = None
     if len(edge_w):
         ei = graph.ei[edge] + n * iteration
@@ -433,7 +481,9 @@ def integrate(
             # both drift terms are taken from the phases at the start of the step
             drift = None if coupling is None else coupling()
             if lock_w is not None:
-                lock = half_angle_sine((half + half) - select, lock_w)
+                np.add(half, half, out=lock)
+                np.subtract(lock, select, out=lock)
+                _half_angle_sine_into(lock, lock_w, lock, lock_denom)
                 if drift is None:
                     drift = lock
                 else:

@@ -81,12 +81,15 @@ class Graph:
         return float(deg.max())
 
     def cut_sums(self, labels=None, weights=None) -> np.ndarray:
-        """Cut weight of each row of labels (..., n): weights (default w) of
-        the edges the row cuts, added in edge order from 0.0, in chunks of
-        about 2^18 terms; labels None cuts every edge. The one cut sum of
-        cut_value, the exact max-cut and the upper-bound normalizer: rounding
-        is monotone, so no row outsums one whose terms are termwise larger."""
+        """Cut weight of each row of labels (..., n): weights (shape (E,),
+        default w) of the edges the row cuts, added in edge order from 0.0,
+        in chunks of about 2^18 terms; labels None cuts every edge. The one
+        cut sum of cut_value, the exact max-cut and the upper-bound
+        normalizer: rounding is monotone, so no row outsums one whose terms
+        are termwise larger."""
         w = self.w if weights is None else np.asarray(weights, dtype=np.float64)
+        if w.shape != self.w.shape:
+            raise ValueError(f"weights have shape {w.shape}, need ({self.edge_count},)")
         if labels is None:
             return np.add.accumulate(np.r_[0.0, w])[-1]
         labels = np.asarray(labels)

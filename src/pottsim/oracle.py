@@ -58,6 +58,9 @@ def exact_coloring(
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if (isinstance(node_limit, bool) or not isinstance(node_limit, numbers.Integral)
+            or node_limit < 0):
+        raise ValueError(f"node_limit must be an integer >= 0 (not bool), got {node_limit!r}")
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time_budget must be >= 0 seconds, got {time_budget!r}")
     n = graph.n

@@ -15,6 +15,7 @@ in place into colors group and group + 2^t.
 from __future__ import annotations
 
 import math
+import numbers
 import time as _time
 from dataclasses import dataclass, fields, replace
 
@@ -85,8 +86,8 @@ def quantize_phase(theta: float, k: int) -> int:
 
 def quantize_phases(thetas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized quantize_phase over a phase array of any shape."""
-    if k < 2:
-        raise ValueError("need at least 2 quantization levels")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"k must be an integer >= 2 (not bool), got {k!r}")
     thetas = wrap_phases(np.asarray(thetas, dtype=np.float64).copy())
     targets = TWO_PI * np.arange(k) / k
     diff = thetas[..., None] - targets
@@ -160,8 +161,8 @@ def solve_batch(
     oracle.cut_baseline(graph); a graph with edges whose baseline is not
     positive raises ValueError before any integration.
     """
-    if m < 1:
-        raise ValueError("need at least one stage")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"m must be an integer >= 1 (not bool), got {m!r}")
     if graph.n < 1:
         raise ValueError("graph must have at least one node")
     seeds = list(seeds)

@@ -517,6 +517,17 @@ class TestTrajectoryRecorder:
         with pytest.raises(ValueError, match="sample_every"):
             TrajectoryRecorder(sample_every=0)
 
+    @pytest.mark.parametrize("every", [1.5, 2.0, True, "2", None, -3])
+    def test_rejects_sample_every_that_is_not_a_positive_integer(self, every):
+        with pytest.raises(ValueError, match="sample_every must be an integer"):
+            TrajectoryRecorder(sample_every=every)
+
+    def test_accepts_numpy_integer_sample_every(self):
+        rec = TrajectoryRecorder(sample_every=np.int64(2))
+        for k in range(5):
+            rec.record(PhaseState(np.zeros(1), float(k)), k)
+        assert rec.times == [0.0, 2.0, 4.0]
+
     def test_samples_stay_wrapped(self):
         # samples taken mid-window, where the phases are not yet wrapped
         g = kings_graph(3)

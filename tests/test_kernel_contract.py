@@ -558,3 +558,80 @@ class TestStepSizeConvergence:
             default_mean = np.mean([getattr(r, key) for r in default])
             stderr = np.std(fine_values, ddof=1) / math.sqrt(n_seeds)
             assert abs(default_mean - fine_values.mean()) <= 3 * stderr, key
+
+
+def line_offsets(array):
+    """Byte offsets from a 64-byte line of the array's start and, for a 2-D
+    array, of its row stride."""
+    return (array.ctypes.data % dynamics.LINE_BYTES,
+            array.strides[0] % dynamics.LINE_BYTES if array.ndim == 2 else 0)
+
+
+class TestLineAlignment:
+    """Every array a window hands to the sine, and its half phases, start on
+    a 64-byte line, and so does each row of a 2-D one."""
+
+    def window_arrays(self, phases, graph, gate, shil):
+        """The arrays one noisy 3-step window hands to the sine and to its
+        coupling layout, as (name, array) pairs."""
+        seen = []
+        sine = dynamics._half_angle_sine_into
+        layouts = {name: getattr(dynamics, name)
+                   for name in ("_lattice_coupling", "_compacted_coupling")}
+
+        def sine_spy(half, scale, t, denom):
+            seen.extend([("half angles", half), ("scale", scale), ("t", t), ("denom", denom)])
+            return sine(half, scale, t, denom)
+
+        def layout_spy(name):
+            def spy(half, *args):
+                seen.append((f"{name} half phases", half))
+                return layouts[name](half, *args)
+            return spy
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_half_angle_sine_into", sine_spy)
+            for name in layouts:
+                patch.setattr(dynamics, name, layout_spy(name))
+            rngs = [np.random.default_rng(b) for b in range(len(phases))]
+            integrate(phases, 3, graph, gate, shil, DynamicsParams(), rngs)
+        return seen
+
+    @pytest.mark.parametrize("side,batch", [(46, 3), (7, 40)])
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_window_buffers_start_on_a_line(self, side, batch, stage):
+        graph = kings_graph(side)
+        rng = np.random.default_rng(side)
+        phases = rng.uniform(0.0, TWO_PI, (batch, graph.n))
+        groups = np.zeros((batch, graph.n), dtype=np.int64)
+        if stage == 2:
+            groups = rng.integers(0, 2, (batch, graph.n))
+        gate = scheduler.gate_couplings(graph, groups)
+        shil = scheduler.assign_shil(groups, stage)
+        want = "lattice" if stage == 1 else "compacted"
+        assert picked_layout(phases, graph, gate, shil) == want
+        seen = self.window_arrays(phases, graph, gate, shil)
+        assert seen[0][0] == "_lattice_coupling half phases"
+        # 3 steps, each with one coupling sine and one lock sine
+        assert sum(name == "t" for name, _ in seen) == 6
+        for name, array in seen:
+            assert isinstance(array, np.ndarray) and array.dtype == np.float64, name
+            assert line_offsets(array) == (0, 0), name
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (8,), (9,), (6348,), (0, 5), (3, 0),
+                                       (1, 1), (3, 5), (4, 17), (2, 8), (5, 1961)])
+    def test_helper_on_odd_shapes(self, shape):
+        for _ in range(20):  # not one lucky allocation
+            array = dynamics._line_aligned(shape)
+            assert array.shape == shape and array.dtype == np.float64
+            # an empty array has no element to align
+            assert line_offsets(array) == (0, 0) or array.size == 0
+            assert array.strides[-1] == 8 and array.flags.writeable
+        values = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+        filled = dynamics._line_aligned(shape, values)
+        assert np.array_equal(filled, values)
+        # rows do not overlap: writing one leaves the others as they were
+        if len(shape) == 2 and shape[0] > 1:
+            filled[0] = -1.0
+            assert np.array_equal(filled[1:], values[1:])
+        assert np.all(dynamics._line_aligned(shape, 0.0) == 0.0)

@@ -186,6 +186,13 @@ class TestCutSums:
         with pytest.raises(ValueError, match=r"need \(\.\.\., 4\)"):
             Graph(4, [(0, 1, 1.0)]).cut_sums(labels)
 
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0] * 4, [[1.0, 2.0, 3.0]], 1.0])
+    @pytest.mark.parametrize("labels", [None, [0, 1, 0, 1]])
+    def test_rejects_weights_of_another_shape(self, labels, weights):
+        graph = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match=r"weights have shape .*, need \(3,\)"):
+            graph.cut_sums(labels, weights=weights)
+
 
 class TestHamming:
     def test_identical(self):

@@ -180,6 +180,14 @@ class TestExactColoring:
         with pytest.raises(ValueError, match="k must be an integer"):
             exact_coloring(kings_graph(2), k)
 
+    @pytest.mark.parametrize("node_limit", [math.nan, math.inf, 10.0, True, "10", None, -1])
+    def test_rejects_node_limit_that_is_not_a_nonnegative_integer(self, node_limit):
+        with pytest.raises(ValueError, match="node_limit must be an integer"):
+            exact_coloring(kings_graph(2), 4, node_limit=node_limit)
+
+    def test_accepts_numpy_integer_node_limit(self):
+        assert exact_coloring(kings_graph(2), 4, node_limit=np.int64(4)) == [0, 1, 2, 3]
+
     def test_accepts_numpy_integer_k(self):
         assert exact_coloring(kings_graph(2), np.int64(4)) == [0, 1, 2, 3]
 

@@ -48,6 +48,14 @@ class TestQuantizePhase:
         with pytest.raises(ValueError):
             quantize_phase(0.0, 1)
 
+    @pytest.mark.parametrize("k", [2.5, 4.0, True, "4", None])
+    def test_rejects_levels_that_are_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            quantize_phases(np.array([0.0, 1.0]), k)
+
+    def test_accepts_numpy_integer_levels(self):
+        assert quantize_phases(np.array([0.0, math.pi]), np.int64(2)).tolist() == [0, 1]
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(9)
         thetas = rng.uniform(-10, 10, 50)
@@ -225,6 +233,19 @@ class TestSolveKColoring:
     def test_rejects_zero_stages(self):
         with pytest.raises(ValueError):
             solve_kcoloring(EDGE, 0)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.0, 1.5, "2", True, None])
+    def test_rejects_m_that_is_not_a_positive_integer(self, m, monkeypatch):
+        windows = record_windows(monkeypatch)
+        for solve in (solve_batch, solve_kcoloring):
+            with pytest.raises(ValueError, match=r"m must be an integer >= 1 \(not bool\)"):
+                solve(EDGE, m)
+        assert windows == []
+
+    def test_accepts_numpy_integer_m(self):
+        got, want = solve_kcoloring(K8, np.int64(3), seed=3), solve_kcoloring(K8, 3, seed=3)
+        assert np.array_equal(got.coloring, want.coloring)
+        assert np.array_equal(got.partition, want.partition)
 
 
 def record_windows(monkeypatch):

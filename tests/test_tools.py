@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from pottsim import dynamics, scheduler
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -28,3 +30,37 @@ class TestDtFrontier:
         frontier = load("dt_frontier")
         assert frontier.mean_se([1.0, 3.0]) == (2.0, 1.0)
         assert frontier.mean_se([0.5]) == (0.5, 0.0)
+
+
+class TestWindowTimes:
+    def test_kings3_windows(self):
+        tool = load("window_times")
+        rows = tool.window_times(3, 2, repeat=1)
+        assert scheduler.integrate is dynamics.integrate
+        assert [(stage, kind, steps) for stage, kind, steps, *_ in rows] == [
+            (1, "free", 500), (1, "anneal", 2000), (1, "lock", 500),
+            (2, "free", 500), (2, "anneal", 2000), (2, "lock", 500)]
+        gated = [gated for *_, gated, _ in rows]
+        # stage 1 gates all 20 edges of both rows on; stage 2 only same-group ones
+        assert gated[:3] == [0, 40, 40] and gated[3] == 0 and gated[4] == gated[5] < 40
+        assert all(us >= 0.0 for *_, us in rows)
+
+    def test_closures(self):
+        tool = load("window_times")
+        # kings 3 x 2 is below the lattice size floor, kings 7 x 21 above it
+        small = tool.closure_times(3, 2, calls=2, repeat=1)
+        large = tool.closure_times(7, 21, calls=2, repeat=1)
+        assert dynamics._lattice_coupling.__name__ == "_lattice_coupling"
+        assert [layout for layout, _ in small] == ["lattice", "compacted"]
+        assert small[0][1] is None and small[1][1] >= 0.0
+        assert all(us >= 0.0 for _, us in large)
+        lines = tool.tables([(1, "free", 500, 0, 1.25)], small).splitlines()
+        assert lines[2] == "| 1 | free | 500 | 0 | 1.2 |"
+        assert lines[-2:][0].startswith("| lattice | not taken")
+
+    def test_main(self, capsys):
+        tool = load("window_times")
+        assert tool.main(["--side", "3", "--batch", "2", "--repeat", "1", "--calls", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "kings 3, B = 2, best of 1"
+        assert len(out) == 1 + 8 + 1 + 4
