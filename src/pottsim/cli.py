@@ -26,6 +26,7 @@ from .metrics import RunStats, SolveResult, aggregate, coloring_accuracy, cut_ac
 from .oracle import OracleTimeout, cut_baseline, exact_coloring
 from .scheduler import StagePlan, solve_batch
 from .seeds import mix_seed
+from .validate import count
 
 CONFIG_ENV_VAR = "POTTSIM_CONFIG"
 
@@ -50,8 +51,9 @@ class RunConfig:
     ) + INT_KEYS
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        count("iterations", self.iterations, 1)
+        count("master_seed", self.master_seed)
+        count("colors", self.colors)
         if self.colors not in COLOR_CHOICES:
             raise ValueError(f"colors must be one of {', '.join(map(str, COLOR_CHOICES))}")
 
@@ -68,16 +70,15 @@ class RunConfig:
             values.update(_parse_config_file(path))
         values.update({k: v for k, v in overrides.items() if v is not None})
 
-        def floats(params_cls):
-            names = [f.name for f in fields(params_cls)]
-            return {name: float(values[name]) for name in names if name in values}
+        def given(kind):  # values as parsed or passed, never coerced
+            return kind(**{f.name: values[f.name] for f in fields(kind) if f.name in values})
 
         return cls(
-            dynamics=DynamicsParams(**floats(DynamicsParams)),
-            plan=StagePlan(**floats(StagePlan)),
-            iterations=int(values.get("iterations", cls.iterations)),
-            master_seed=int(values.get("seed", cls.master_seed)),
-            colors=int(values.get("colors", cls.colors)),
+            dynamics=given(DynamicsParams),
+            plan=given(StagePlan),
+            iterations=values.get("iterations", cls.iterations),
+            master_seed=values.get("seed", cls.master_seed),
+            colors=values.get("colors", cls.colors),
         )
 
 

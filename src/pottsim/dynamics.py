@@ -98,12 +98,12 @@ order, so the bits are the same.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
+from .validate import count, real
 
 __all__ = [
     "PhaseState",
@@ -180,10 +180,10 @@ def _line_aligned(shape: tuple, fill=None) -> np.ndarray:
     *rows, cols = shape
     per_line = LINE_BYTES // 8
     padded = -(-cols // per_line) * per_line
-    count = math.prod(rows) * padded
-    raw = np.empty(8 * count + LINE_BYTES, dtype=np.uint8)
+    size = math.prod(rows) * padded
+    raw = np.empty(8 * size + LINE_BYTES, dtype=np.uint8)
     start = -raw.ctypes.data % LINE_BYTES
-    lines = raw[start:start + 8 * count].view(np.float64).reshape(*rows, padded)
+    lines = raw[start:start + 8 * size].view(np.float64).reshape(*rows, padded)
     out = lines[..., :cols]
     if fill is not None:
         out[...] = fill
@@ -251,12 +251,7 @@ class DynamicsParams:
 
     def __post_init__(self):
         for name in ("coupling", "locking", "noise", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.coupling < 0 or self.locking < 0 or self.noise < 0:
-            raise ValueError("coupling, locking, and noise must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            real(name, getattr(self, name), positive=name == "dt")
 
     def check_stability(self, graph: Graph) -> None:
         """dt * max(coupling * max_weighted_degree, 2 * locking) must stay below 0.5.
@@ -285,9 +280,7 @@ class TrajectoryRecorder:
     samples: list = field(default_factory=list)
 
     def __post_init__(self):
-        every = self.sample_every
-        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
-            raise ValueError(f"sample_every must be an integer >= 1 (not bool), got {every!r}")
+        count("sample_every", self.sample_every, 1)
 
     def record(self, state: PhaseState, step_index: int) -> None:
         if step_index % self.sample_every == 0:
@@ -303,8 +296,7 @@ class TrajectoryRecorder:
 
 def random_init(n: int, rng: np.random.Generator) -> PhaseState:
     """Phases drawn independently and uniformly from [0, 2*pi), time 0."""
-    if n < 1:
-        raise ValueError("need at least one oscillator")
+    count("n", n, 1)
     return PhaseState(rng.uniform(0.0, TWO_PI, size=n), time=0.0)
 
 
@@ -418,10 +410,7 @@ def integrate(
     phases = np.array(phases, dtype=np.float64, ndmin=2)
     if phases.ndim != 2 or phases.shape[1] != graph.n:
         raise ValueError(f"phases have shape {phases.shape}, need (B, {graph.n})")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    count("n_steps", n_steps, 0)
     batch, n = phases.shape
     active = _broadcast("gate.active", gate.active, (batch, graph.edge_count))
     enabled = _broadcast("shil.enabled", shil.enabled, (batch, n))
@@ -550,10 +539,8 @@ def step_count(duration: float, dt: float) -> int:
     duration must be finite and >= 0, dt finite and > 0, and their ratio
     finite; otherwise a ValueError names the argument at fault.
     """
-    if not 0 <= duration < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"duration must be nonnegative and finite, got {duration!r}")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    real("duration", duration)
+    real("dt", dt, positive=True)
     steps = duration / dt
     if steps == math.inf:
         raise ValueError(f"duration / dt overflows: {duration!r} / {dt!r}")

@@ -8,13 +8,14 @@ treated as immutable after construction and are safe to share across threads.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
+
+from .validate import count, is_integer, is_real
 
 __all__ = [
     "Graph",
@@ -43,7 +44,10 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        self.n = _node_count(n)
+        count("node count n", n, 0)
+        if n > MAX_NODE_COUNT:
+            raise ValueError(f"node count n must be at most 2**63 - 1 (int64), got {n}")
+        self.n = int(n)
         rows = list(edges)
         good, i, j, w = _columns(rows, (3,))
         if not good.all():
@@ -126,24 +130,6 @@ def _graph(n: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Graph:
     return graph
 
 
-def _is_id(kind: type) -> bool:
-    return issubclass(kind, numbers.Integral) and kind is not bool
-
-
-def _is_real(kind: type) -> bool:
-    return issubclass(kind, numbers.Real) and kind is not bool
-
-
-def _node_count(n) -> int:
-    if not _is_id(type(n)):
-        raise ValueError(f"node count n must be an integer (not bool), got {n!r}")
-    if n < 0:
-        raise ValueError("node count must be nonnegative")
-    if n > MAX_NODE_COUNT:
-        raise ValueError(f"node count n must be at most 2**63 - 1 (int64), got {n}")
-    return int(n)
-
-
 def _mask(keys: list, ok) -> np.ndarray:
     """ok(key) for each key, as a bool array; ok runs once per distinct key."""
     verdict = {key: ok(key) for key in set(keys)}
@@ -157,8 +143,8 @@ def _columns(rows: list, sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple, tup
     good = _mask(list(map(len, rows)), sizes.__contains__)
     kept = list(compress(rows, good))
     i, j, w = (tuple(map(itemgetter(k), kept)) for k in (0, 1, -1))
-    good[good] = (_mask(list(map(type, i)), _is_id) & _mask(list(map(type, j)), _is_id)
-                  & _mask(list(map(type, w)), _is_real))
+    good[good] = (_mask(list(map(type, i)), is_integer) & _mask(list(map(type, j)), is_integer)
+                  & _mask(list(map(type, w)), is_real))
     return good, i, j, w
 
 
@@ -243,8 +229,7 @@ def kings_graph(side: int) -> Graph:
     Node index is row * side + col. All weights are 1.0. Edge count is
     2 * (side - 1) * (2 * side - 1).
     """
-    if not _is_id(type(side)) or side < 1:
-        raise ValueError(f"side must be an integer >= 1 (not bool), got {side!r}")
+    count("side", side, 1)
     n = int(side) ** 2
     ei, ej = _kings_edges(int(side))
     return _graph(n, _canonical_edges(n, ei, ej, np.ones(len(ei))))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .graph import Graph
 from .oracle import cut_baseline_kind
+from .validate import count
 
 __all__ = [
     "SolveResult",
@@ -74,8 +75,7 @@ def hamming(c1, c2) -> int:
 
 def hamming_min_rotation(c1, c2, k: int) -> int:
     """Hamming distance minimized over the k cyclic color rotations of c2."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    count("k", k, 1)
     c2 = np.asarray(c2)
     return min(hamming(c1, (c2 + r) % k) for r in range(k))
 

@@ -21,13 +21,13 @@ exactly 1.0 against an exact or upper-bound normalizer.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 
 import numpy as np
 
 from . import graph as _graph
 from .graph import Graph
+from .validate import count, real
 
 __all__ = [
     "OracleTimeout",
@@ -56,13 +56,10 @@ def exact_coloring(
     then lowest index) on per-node color counts. Exact but potentially slow,
     hence the node limit and optional time budget (seconds; None or inf: none).
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if (isinstance(node_limit, bool) or not isinstance(node_limit, numbers.Integral)
-            or node_limit < 0):
-        raise ValueError(f"node_limit must be an integer >= 0 (not bool), got {node_limit!r}")
-    if time_budget is not None and not time_budget >= 0:
-        raise ValueError(f"time_budget must be >= 0 seconds, got {time_budget!r}")
+    count("k", k, 1)
+    count("node_limit", node_limit, 0)
+    if time_budget is not None:
+        real("time_budget", time_budget, finite=False)
     n = graph.n
     if n > node_limit:
         raise ValueError(f"graph has {n} nodes, above node_limit={node_limit}")
@@ -106,8 +103,7 @@ def exact_coloring(
 
 def constructive_kings_coloring(side: int) -> list[int]:
     """Proper 4-coloring of the King's graph: color = 2*(row % 2) + (col % 2)."""
-    if side < 1:
-        raise ValueError("side must be >= 1")
+    count("side", side, 1)
     return [2 * (r % 2) + (c % 2) for r in range(side) for c in range(side)]
 
 
@@ -244,8 +240,7 @@ def stripe_cut_value(side: int) -> int:
     """Row-parity cut of the King's graph: all vertical plus both diagonal
     edge families, side*(side-1) + 2*(side-1)^2. Best-known, not proven
     optimal beyond the exhaustively checked small sides."""
-    if side < 2:
-        raise ValueError("side must be >= 2")
+    count("side", side, 2)
     return side * (side - 1) + 2 * (side - 1) ** 2
 
 

@@ -15,7 +15,6 @@ in place into colors group and group + 2^t.
 from __future__ import annotations
 
 import math
-import numbers
 import time as _time
 from dataclasses import dataclass, fields, replace
 
@@ -36,6 +35,7 @@ from .graph import Graph
 from .metrics import SolveResult, coloring_accuracy, cut_accuracy
 from .oracle import cut_baseline
 from .seeds import rng_for
+from .validate import count, real
 
 __all__ = [
     "StagePlan",
@@ -75,8 +75,7 @@ class StagePlan:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0 <= getattr(self, f.name) < math.inf:  # NaN fails both
-                raise ValueError(f"{f.name} must be nonnegative and finite")
+            real(f.name, getattr(self, f.name))
 
 
 def quantize_phase(theta: float, k: int) -> int:
@@ -86,8 +85,7 @@ def quantize_phase(theta: float, k: int) -> int:
 
 def quantize_phases(thetas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized quantize_phase over a phase array of any shape."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 2:
-        raise ValueError(f"k must be an integer >= 2 (not bool), got {k!r}")
+    count("k", k, 2)
     thetas = wrap_phases(np.asarray(thetas, dtype=np.float64).copy())
     targets = TWO_PI * np.arange(k) / k
     diff = thetas[..., None] - targets
@@ -114,8 +112,9 @@ def partition_from_phases(
     state: PhaseState, tolerance: float = LOCK_TOLERANCE
 ) -> tuple[np.ndarray, bool]:
     """Binary labels from nearest of {0, pi}; locked iff all within tolerance."""
-    if not 0.0 < tolerance < math.pi / 2:
-        raise ValueError("tolerance must lie in (0, pi/2)")
+    real("tolerance", tolerance, positive=True)
+    if not tolerance < math.pi / 2:
+        raise ValueError(f"tolerance must lie in (0, pi/2), got {tolerance!r}")
     labels, locked = lock_readout(state.phases, 0.0, tolerance)
     return labels, bool(locked)
 
@@ -161,8 +160,7 @@ def solve_batch(
     oracle.cut_baseline(graph); a graph with edges whose baseline is not
     positive raises ValueError before any integration.
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise ValueError(f"m must be an integer >= 1 (not bool), got {m!r}")
+    count("m", m, 1)
     if graph.n < 1:
         raise ValueError("graph must have at least one node")
     seeds = list(seeds)

@@ -1,0 +1,32 @@
+"""Argument checks shared by every module: each failure raises a ValueError
+that names the argument, and a value that passes is never converted."""
+
+import math
+import numbers
+
+__all__ = ["is_integer", "is_real", "count", "real"]
+
+
+def is_integer(kind: type) -> bool:
+    return issubclass(kind, numbers.Integral) and kind is not bool
+
+
+def is_real(kind: type) -> bool:
+    return issubclass(kind, numbers.Real) and kind is not bool
+
+
+def count(name: str, value, minimum: int | None = None) -> None:
+    """ValueError unless value is an integer >= minimum (any integer if None)."""
+    if not is_integer(type(value)) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound} (not bool), got {value!r}")
+
+
+def real(name: str, value, positive: bool = False, finite: bool = True) -> None:
+    """ValueError unless value is a real number > 0 if positive, else >= 0,
+    and below infinity if finite; NaN always fails."""
+    if not (is_real(type(value)) and (0 < value if positive else 0 <= value)
+            and (value < math.inf or not finite)):
+        sign = "positive" if positive else "nonnegative"
+        bound = " and finite" if finite else ""
+        raise ValueError(f"{name} must be {sign}{bound} (a real number, not bool), got {value!r}")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,39 @@ class TestRunConfig:
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
             RunConfig(iterations=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("iterations", 2.5, "iterations must be an integer >= 1 (not bool), got 2.5"),
+        ("iterations", True, "iterations must be an integer >= 1 (not bool), got True"),
+        ("iterations", "3", "iterations must be an integer >= 1 (not bool), got '3'"),
+        ("master_seed", 1.5, "master_seed must be an integer (not bool), got 1.5"),
+        ("master_seed", True, "master_seed must be an integer (not bool), got True"),
+        ("colors", 4.0, "colors must be an integer (not bool), got 4.0"),
+        ("colors", True, "colors must be an integer (not bool), got True"),
+    ], ids=repr)
+    def test_rejects_a_field_that_is_not_an_integer(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**{field: value})
+
+    def test_accepts_any_integer_seed_and_numpy_integers(self):
+        config = RunConfig(iterations=np.int64(2), master_seed=-1, colors=np.int64(8))
+        assert (config.iterations, config.master_seed, config.stages) == (2, -1, 3)
+
+    @pytest.mark.parametrize("overrides,name", [
+        (dict(iterations=2.5), "iterations"),
+        (dict(seed=1.9), "seed"),
+        (dict(colors=4.0), "colors"),
+        (dict(dt=True), "dt"),
+        (dict(t_init=True), "t_init"),
+    ], ids=repr)
+    def test_overrides_are_checked_not_truncated(self, overrides, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            RunConfig.from_sources(None, **overrides)
+
+    def test_overrides_are_stored_as_given(self):
+        config = RunConfig.from_sources(None, iterations=3, seed=-2, colors=2, coupling=2)
+        assert (config.iterations, config.master_seed, config.colors) == (3, -2, 2)
+        assert type(config.dynamics.coupling) is int
 
 
 class TestBadInput:

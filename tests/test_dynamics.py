@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ class TestRandomInit:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_init(0, rng_for(0))
+
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3"], ids=repr)
+    def test_rejects_a_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=r"n must be an integer >= 1 \(not bool\)"):
+            random_init(n, rng_for(0))
 
 
 class TestStep:
@@ -386,12 +392,12 @@ class TestStepCount:
     def test_counts(self, duration, dt, steps):
         assert step_count(duration, dt) == steps
 
-    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1.0, -1e-300, True, "1"])
     def test_rejects_bad_duration(self, duration):
         with pytest.raises(ValueError, match="duration must be nonnegative and finite"):
             step_count(duration, 0.01)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, -math.inf, True, "0.01"])
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             step_count(1.0, dt)
@@ -445,6 +451,18 @@ class TestParams:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             DynamicsParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["coupling", "locking", "noise", "dt"])
+    @pytest.mark.parametrize("value", [True, "0.1", math.nan], ids=repr)
+    def test_rejects_bool_string_and_nan_by_name(self, name, value):
+        sign = "positive" if name == "dt" else "nonnegative"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be {sign} and finite (a real number, not bool), got {value!r}")):
+            DynamicsParams(**{name: value})
+
+    def test_stores_values_as_given(self):
+        params = DynamicsParams(coupling=2, noise=np.float64(0.1))
+        assert type(params.coupling) is int and type(params.noise) is np.float64
 
 
 class TestLyapunovDescent:

@@ -236,8 +236,16 @@ class TestHamming:
         assert hamming_min_rotation(c1, (c2 + r) % k, k) == rotated
 
     def test_rotation_rejects_no_colors(self):
-        with pytest.raises(ValueError, match="k must be at least 1"):
+        with pytest.raises(ValueError, match=r"k must be an integer >= 1 \(not bool\)"):
             hamming_min_rotation([0, 1], [1, 0], 0)
+
+    @pytest.mark.parametrize("k", [True, 2.5, 2.0, "2", None], ids=repr)
+    def test_rotation_rejects_a_count_that_is_not_an_integer(self, k):
+        with pytest.raises(ValueError, match=r"k must be an integer >= 1 \(not bool\)"):
+            hamming_min_rotation([0, 1], [1, 0], k)
+
+    def test_rotation_accepts_a_numpy_integer(self):
+        assert hamming_min_rotation([0, 1], [1, 0], np.int64(2)) == 0
 
 
 class TestAggregate:

@@ -196,6 +196,11 @@ class TestExactColoring:
         with pytest.raises(ValueError, match="time_budget"):
             exact_coloring(kings_graph(2), 4, time_budget=budget)
 
+    @pytest.mark.parametrize("budget", [True, False, "1", np.bool_(True)], ids=repr)
+    def test_rejects_bool_or_string_time_budget(self, budget):
+        with pytest.raises(ValueError, match=r"time_budget must be nonnegative \(a real number"):
+            exact_coloring(kings_graph(2), 4, time_budget=budget)
+
     def test_infinite_time_budget_means_no_limit(self):
         assert exact_coloring(kings_graph(7), 4, time_budget=float("inf")) is not None
 
@@ -241,6 +246,11 @@ class TestConstructiveKingsColoring:
         g = kings_graph(side)
         coloring = constructive_kings_coloring(side)
         assert proper(g, coloring, 4)
+
+    @pytest.mark.parametrize("side", [0, True, 2.5, 3.0, "3"], ids=repr)
+    def test_rejects_a_side_that_is_not_a_positive_integer(self, side):
+        with pytest.raises(ValueError, match=r"side must be an integer >= 1 \(not bool\)"):
+            constructive_kings_coloring(side)
 
 
 def exhaustive_maxcut(graph):
@@ -560,3 +570,8 @@ class TestStripeCutValue:
     def test_rejects_side_below_two(self):
         with pytest.raises(ValueError):
             stripe_cut_value(1)
+
+    @pytest.mark.parametrize("side", [True, 2.5, 3.0, "3"], ids=repr)
+    def test_rejects_a_side_that_is_not_an_integer(self, side):
+        with pytest.raises(ValueError, match=r"side must be an integer >= 2 \(not bool\)"):
+            stripe_cut_value(side)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -99,6 +100,11 @@ class TestPartitionFromPhases:
             partition_from_phases(state, 0.0)
         with pytest.raises(ValueError):
             partition_from_phases(state, math.pi)
+
+    @pytest.mark.parametrize("tolerance", [True, "0.1", math.nan], ids=repr)
+    def test_rejects_a_tolerance_that_is_not_a_real_number(self, tolerance):
+        with pytest.raises(ValueError, match=r"tolerance must be positive and finite \(a real"):
+            partition_from_phases(PhaseState(np.array([0.0])), tolerance)
 
 
 class TestGateCouplings:
@@ -392,4 +398,11 @@ class TestStagePlan:
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
     def test_rejects_nonfinite_naming_the_field(self, name, value):
         with pytest.raises(ValueError, match=name):
+            StagePlan(**{name: value})
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(StagePlan)])
+    @pytest.mark.parametrize("value", [True, "0.1", math.nan], ids=repr)
+    def test_rejects_bool_string_and_nan_by_name(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be nonnegative and finite (a real number, not bool), got {value!r}")):
             StagePlan(**{name: value})

@@ -198,3 +198,16 @@ class Walker:
         return [self.visit(child) for child in node]
 """
     assert self_calls(ast.parse(source)) == [("backtrack", 6), ("visit", 13)]
+
+
+def test_only_the_validate_module_imports_numbers():
+    """Argument checks live in pottsim.validate; a module that imports
+    numbers is writing its own."""
+    importers = [
+        module
+        for module, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and "numbers" in [alias.name for alias in node.names])
+        or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+    ]
+    assert importers == ["validate"]

@@ -1,0 +1,85 @@
+import math
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pottsim.validate import count, is_integer, is_real, real
+
+
+class TestCount:
+    @pytest.mark.parametrize("value", [3, 0, -5, 2**70, np.int64(3), np.uint8(3), np.int32(-1)],
+                             ids=repr)
+    def test_accepts_any_integer_without_a_minimum(self, value):
+        assert count("x", value) is None
+
+    @pytest.mark.parametrize("value", [1, 7, np.int64(1), np.uint64(2**64 - 1)], ids=repr)
+    def test_accepts_an_integer_at_the_minimum_or_above(self, value):
+        count("x", value, 1)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.5, 2.0, np.float64(2.0),
+                                       "2", None, Fraction(2)], ids=repr)
+    def test_rejects_what_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"x must be an integer >= 0 (not bool), got {value!r}")):
+            count("x", value, 0)
+
+    @pytest.mark.parametrize("value", [0, -1, np.int64(0)], ids=repr)
+    def test_rejects_an_integer_below_the_minimum(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"k must be an integer >= 1 (not bool), got {value!r}")):
+            count("k", value, 1)
+
+    def test_message_without_a_minimum(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "master_seed must be an integer (not bool), got 1.5")):
+            count("master_seed", 1.5)
+
+
+class TestReal:
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5, 1e308, np.float64(0.1), np.float32(0.5),
+                                       np.int64(3), Fraction(1, 3)], ids=repr)
+    def test_accepts_a_nonnegative_real(self, value):
+        assert real("x", value) is None
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(False), "0.1", None, 1j,
+                                       math.nan, math.inf, -math.inf, -1e-300, -1],
+                             ids=repr)
+    def test_rejects_what_is_not_a_nonnegative_finite_real(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"x must be nonnegative and finite (a real number, not bool), got {value!r}")):
+            real("x", value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, np.float64(0.0), -1.0, True], ids=repr)
+    def test_positive_rejects_zero_negatives_and_bool(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dt must be positive and finite (a real number, not bool), got {value!r}")):
+            real("dt", value, positive=True)
+
+    def test_positive_accepts_the_smallest_positive_float(self):
+        real("dt", 5e-324, positive=True)
+
+    @pytest.mark.parametrize("value", [math.inf, np.float64(np.inf), 0.0, 3])
+    def test_infinity_allowed_when_not_finite(self, value):
+        real("time_budget", value, finite=False)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, -1.0, True, "1"], ids=repr)
+    def test_not_finite_still_rejects_nan_negatives_and_bool(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"time_budget must be nonnegative (a real number, not bool), got {value!r}")):
+            real("time_budget", value, finite=False)
+
+
+class TestTypePredicates:
+    @pytest.mark.parametrize("kind", [int, np.int64, np.uint8])
+    def test_integer_types(self, kind):
+        assert is_integer(kind) and is_real(kind)
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32, Fraction])
+    def test_real_types_that_are_not_integers(self, kind):
+        assert is_real(kind) and not is_integer(kind)
+
+    @pytest.mark.parametrize("kind", [bool, np.bool_, str, complex, type(None)])
+    def test_neither(self, kind):
+        assert not is_real(kind) and not is_integer(kind)
