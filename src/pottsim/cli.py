@@ -105,14 +105,16 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def run_batch(graph, config: RunConfig) -> tuple[list[SolveResult], RunStats]:
+def run_batch(graph, config: RunConfig, on_window=None) -> tuple[list[SolveResult], RunStats]:
     """Run config.iterations independent solves; returns (results, RunStats).
 
     Iteration i uses seed mix_seed(master_seed, i), so results are ordered
-    and reproducible however the iterations are batched.
+    and reproducible however the iterations are batched. on_window is passed
+    to solve_batch, which calls it with each window's WindowEvent.
     """
     seeds = [mix_seed(config.master_seed, i) for i in range(config.iterations)]
-    results = solve_batch(graph, config.stages, config.dynamics, config.plan, seeds)
+    results = solve_batch(graph, config.stages, config.dynamics, config.plan, seeds,
+                          on_window=on_window)
     return results, aggregate(results, graph)
 
 
@@ -150,6 +152,8 @@ def cmd_solve(args) -> int:
         f"{graph.n} nodes, {config.colors} colors, {config.iterations} iterations: "
         f"best accuracy {stats.best_accuracy:.4f}, mean {stats.mean_accuracy:.4f}"
     )
+    mean_cut = sum(cut for cut, _, _ in stats.per_iteration) / len(stats.per_iteration)
+    print(f"mean cut accuracy {mean_cut:.4f} (against the {stats.cut_baseline_note} baseline)")
     print(
         f"stage correlation (pearson): {stats.stage_correlation:.4f}"
         + (" [degenerate]" if stats.correlation_degenerate else "")

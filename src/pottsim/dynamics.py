@@ -227,6 +227,7 @@ class ShilConfig:
 
     @classmethod
     def off(cls, n: int) -> "ShilConfig":
+        count("n", n, 0)
         return cls(np.zeros(n, dtype=bool), np.zeros(n))
 
     @classmethod

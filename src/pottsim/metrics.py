@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Graph
 from .oracle import cut_baseline_kind
-from .validate import count
+from .validate import count, is_integer
 
 __all__ = [
     "SolveResult",
@@ -99,7 +99,7 @@ class SolveResult:
         runs write byte-identical files."""
         return {
             "schema_version": self.SCHEMA_VERSION,
-            "seed": self.seed,
+            "seed": int(self.seed),
             "partition": self.partition.tolist(),
             "coloring": self.coloring.tolist(),
             "cut_accuracy": self.cut_accuracy,
@@ -110,7 +110,8 @@ class SolveResult:
     @classmethod
     def from_dict(cls, doc: dict) -> "SolveResult":
         """Inverse of to_dict; ValueError on another schema, a missing key
-        or a value of the wrong type."""
+        or a value of the wrong type. Other keys are ignored, wall_time too:
+        a loaded result's wall_time is 0.0."""
         if not isinstance(doc, dict):
             raise ValueError("a result must be a JSON object")
         if doc.get("schema_version") != cls.SCHEMA_VERSION:
@@ -123,7 +124,7 @@ class SolveResult:
             raise ValueError(f"missing result keys: {', '.join(missing)}")
 
         def is_int(value):
-            return isinstance(value, int) and not isinstance(value, bool)
+            return is_integer(type(value))
 
         def is_int_list(value):
             return isinstance(value, list) and all(map(is_int, value))
@@ -154,7 +155,7 @@ class SolveResult:
             coloring=np.asarray(doc["coloring"], dtype=np.int64),
             cut_accuracy=doc["cut_accuracy"],
             coloring_accuracy=doc["coloring_accuracy"],
-            wall_time=doc.get("wall_time", 0.0),
+            wall_time=0.0,
             unlocked_stages=list(doc.get("unlocked_stages", [])),
         )
 

@@ -39,6 +39,8 @@ from .validate import count, real
 
 __all__ = [
     "StagePlan",
+    "WINDOW_KINDS",
+    "WindowEvent",
     "quantize_phase",
     "quantize_phases",
     "lock_readout",
@@ -54,6 +56,8 @@ __all__ = [
 _resolve_cut_baseline = cut_baseline
 
 LOCK_TOLERANCE = 0.15
+
+WINDOW_KINDS = ("free", "anneal", "lock")  # the windows of every stage, in order
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,32 @@ class StagePlan:
     def __post_init__(self):
         for f in fields(self):
             real(f.name, getattr(self, f.name))
+
+
+@dataclass(frozen=True)
+class WindowEvent:
+    """One window of solve_batch, as its on_window callback sees it.
+
+    gated_edges counts each row's gated couplings, shape (B,). phases is the
+    wrapped (B, n) output and select the lock reference (None outside a lock
+    window), both read-only views. cpu_s and wall_s time the integrate call
+    (time.process_time and time.perf_counter).
+    """
+
+    stage: int
+    kind: str
+    n_steps: int
+    gated_edges: np.ndarray
+    phases: np.ndarray
+    select: np.ndarray | None
+    cpu_s: float
+    wall_s: float
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def quantize_phase(theta: float, k: int) -> int:
@@ -148,6 +178,7 @@ def solve_batch(
     params: DynamicsParams | None = None,
     plan: StagePlan | None = None,
     seeds=(0,),
+    on_window=None,
 ) -> list[SolveResult]:
     """Solve 2^m-coloring by m staged binary splits, once per seed.
 
@@ -158,7 +189,8 @@ def solve_batch(
     the t_relax / t_anneal2 / t_lock2 durations. Each result's wall_time is
     its share of the batch's wall time. Each cut_accuracy is against
     oracle.cut_baseline(graph); a graph with edges whose baseline is not
-    positive raises ValueError before any integration.
+    positive raises ValueError before any integration. on_window, if given,
+    is called with one WindowEvent after each window.
     """
     count("m", m, 1)
     if graph.n < 1:
@@ -195,9 +227,16 @@ def solve_batch(
             (gate, shil_off, params),  # anneal
             (gate, shil, params),  # lock
         )
-        for duration, (w_gate, w_shil, w_params) in zip(durations, windows):
+        for kind, duration, (w_gate, w_shil, w_params) in zip(WINDOW_KINDS, durations, windows):
             steps = step_count(duration, w_params.dt)
+            cpu0, wall0 = _time.process_time(), _time.perf_counter()
             phases = integrate(phases, steps, graph, w_gate, w_shil, w_params, rngs)[0]
+            if on_window is not None:
+                cpu_s, wall_s = _time.process_time() - cpu0, _time.perf_counter() - wall0
+                gated = np.broadcast_to(w_gate.active, (len(seeds), graph.edge_count))
+                select = _read_only(w_shil.select) if kind == "lock" else None
+                on_window(WindowEvent(stage, kind, steps, np.count_nonzero(gated, axis=1),
+                                      _read_only(phases), select, cpu_s, wall_s))
 
         # split each group: bit 0 if nearer phi, 1 if nearer phi + pi
         bit, locked = lock_readout(phases, shil.select, LOCK_TOLERANCE)

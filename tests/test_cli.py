@@ -92,6 +92,17 @@ class TestSolve:
         assert main(["solve", "-g", "missing.json"]) != 0
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side,kind", [(7, "best-known"), (4, "exact")])
+    def test_prints_mean_cut_accuracy_with_its_baseline(self, side, kind, tmp_path, capsys):
+        path, outdir = str(tmp_path / "g.col"), tmp_path / "r"
+        save_graph(kings_graph(side), path)
+        capsys.readouterr()
+        assert main(["solve", "-g", path, "--iters", "3", "--seed", "2", "-o", str(outdir)]) == 0
+        cuts = [row["cut_accuracy"]
+                for row in json.loads((outdir / "stats.json").read_text())["per_iteration"]]
+        want = f"mean cut accuracy {sum(cuts) / len(cuts):.4f} (against the {kind} baseline)"
+        assert want in capsys.readouterr().out.splitlines()
+
     def test_maxcut_mode(self, k4_path, capsys):
         rc = main(["solve", "-g", k4_path, "--colors", "2", "--iters", "5", "--seed", "2"])
         assert rc == 0

@@ -445,6 +445,19 @@ class TestZeroNodes:
         assert time == sum([DynamicsParams().dt] * 7)
 
 
+class TestShilConfigOff:
+    @pytest.mark.parametrize("n", [0, 3, np.int64(3)], ids=repr)
+    def test_all_off(self, n):
+        shil = ShilConfig.off(n)
+        assert shil.enabled.shape == shil.select.shape == (n,) and not shil.enabled.any()
+
+    @pytest.mark.parametrize("n", [2.5, True, -1, "3"], ids=repr)
+    def test_rejects_a_node_count_that_is_not_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n must be an integer >= 0 (not bool), got {n!r}")):
+            ShilConfig.off(n)
+
+
 class TestParams:
     @pytest.mark.parametrize("name", ["coupling", "locking", "noise", "dt"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -388,6 +388,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="partition"):
             SolveResult.from_dict(doc)
 
+    def test_from_dict_ignores_wall_time(self):
+        doc = make_result([0, 1], col_acc=1.0).to_dict()
+        doc["wall_time"] = "abc"
+        assert SolveResult.from_dict(doc).wall_time == 0.0
+
+    def test_to_dict_writes_a_numpy_seed_as_an_int(self):
+        doc = make_result([0, 1], col_acc=1.0, seed=np.uint64(2**64 - 1)).to_dict()
+        assert type(doc["seed"]) is int and json.loads(json.dumps(doc))["seed"] == 2**64 - 1
+
     def test_timing_excluded_by_default(self):
         res = make_result([0, 1], col_acc=1.0)
         assert "wall_time" not in res.to_dict()

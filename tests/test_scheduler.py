@@ -7,12 +7,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from pottsim.cli import RunConfig, run_batch
 from pottsim.dynamics import DynamicsParams, PhaseState, step
 from pottsim.graph import Graph, kings_graph
 from pottsim.metrics import coloring_accuracy
 from pottsim.oracle import cut_baseline, exact_coloring
 from pottsim.scheduler import (
+    WINDOW_KINDS,
     StagePlan,
+    WindowEvent,
     _resolve_cut_baseline,
     assign_shil,
     gate_couplings,
@@ -294,6 +297,67 @@ class TestStageWindows:
 
             assert np.array_equal(lock[2], anneal[2])
             assert np.all(lock[3].enabled)
+
+
+class TestWindowEvents:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_event_per_recorded_window(self, m, monkeypatch):
+        g = kings_graph(3)
+        windows, events = record_windows(monkeypatch), []
+        solve_batch(g, m, seeds=range(4), on_window=events.append)
+        assert len(events) == len(windows) == 3 * m
+        for w, (event, (n_steps, _, active, shil)) in enumerate(zip(events, windows)):
+            assert isinstance(event, WindowEvent)
+            assert (event.stage, event.kind) == (w // 3 + 1, WINDOW_KINDS[w % 3])
+            assert event.n_steps == n_steps == (500, 2000, 500)[w % 3]
+            rows = np.broadcast_to(active, (4, g.edge_count)).sum(axis=1)
+            assert event.gated_edges.shape == (4,)
+            assert np.array_equal(event.gated_edges, rows)
+            if event.kind == "lock":
+                assert np.array_equal(event.select, shil.select)
+            else:
+                assert event.select is None
+            assert event.cpu_s >= 0.0 and event.wall_s >= 0.0
+
+    def test_results_bit_identical_with_a_callback(self):
+        g, events = kings_graph(5), []
+        plain = solve_batch(g, 2, seeds=range(3))
+        hooked = solve_batch(g, 2, seeds=range(3), on_window=events.append)
+        assert len(events) == 6
+        for a, b in zip(plain, hooked):
+            assert np.array_equal(a.partition, b.partition)
+            assert np.array_equal(a.coloring, b.coloring)
+            assert (a.cut_accuracy, a.coloring_accuracy, a.unlocked_stages) == (
+                b.cut_accuracy, b.coloring_accuracy, b.unlocked_stages)
+
+    def test_views_are_read_only_and_the_event_frozen(self):
+        events = []
+        solve_batch(kings_graph(3), 1, seeds=range(2), on_window=events.append)
+        lock = events[-1]
+        assert lock.kind == "lock" and lock.phases.shape == lock.select.shape == (2, 9)
+        for array in (lock.phases, lock.select):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            lock.stage = 2
+
+    def test_last_phases_quantize_to_every_coloring(self):
+        events = []
+        results = solve_batch(kings_graph(4), 2, seeds=range(3), on_window=events.append)
+        last = quantize_phases(events[-1].phases, 4)
+        for b, res in enumerate(results):
+            assert np.array_equal(last[b], res.coloring)
+
+    def test_run_batch_forwards_the_events(self):
+        events = []
+        results, _ = run_batch(kings_graph(3), RunConfig(iterations=2, colors=8),
+                               on_window=events.append)
+        assert [(e.stage, e.kind) for e in events] == [
+            (stage, kind) for stage in (1, 2, 3) for kind in WINDOW_KINDS]
+        assert events[-1].phases.shape == (2, 9)
+        coloring = quantize_phases(events[-1].phases, 8)
+        assert all(np.array_equal(coloring[b], res.coloring) for b, res in enumerate(results))
 
 
 class TestStagePrefix:

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from pottsim import dynamics, scheduler
+from pottsim import dynamics
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -36,7 +36,6 @@ class TestWindowTimes:
     def test_kings3_windows(self):
         tool = load("window_times")
         rows = tool.window_times(3, 2, repeat=1)
-        assert scheduler.integrate is dynamics.integrate
         assert [(stage, kind, steps) for stage, kind, steps, *_ in rows] == [
             (1, "free", 500), (1, "anneal", 2000), (1, "lock", 500),
             (2, "free", 500), (2, "anneal", 2000), (2, "lock", 500)]

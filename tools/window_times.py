@@ -2,11 +2,10 @@
 layout's closure, on a King's graph.
 
 Windows: runs scheduler.solve_batch (4 colors, seeds 0 .. B-1, default
-parameters) on kings_graph(side) with each integrate call timed by
-time.process_time, and prints one Markdown row per window: stage, kind
-(free, anneal or lock, the order solve_batch runs them in), steps, gated
-edges over all B rows, and CPU microseconds per step, the least of
---repeat solves.
+parameters) on kings_graph(side), reads the WindowEvent that solve_batch
+hands its on_window callback after each window, and prints one Markdown
+row per window: stage, kind, steps, gated edges over all B rows, and CPU
+microseconds per step (the event's cpu_s), the least of --repeat solves.
 
 Closures: builds the coupling term of the stage-1 window (every edge gated
 on, B rows) in both edge layouts from the buffers integrate makes for it,
@@ -30,8 +29,6 @@ from pottsim import dynamics, scheduler
 from pottsim.dynamics import CouplingGate, DynamicsParams, ShilConfig, integrate
 from pottsim.graph import kings_graph
 
-KINDS = ("free", "anneal", "lock")
-
 
 def window_times(side: int, batch: int, repeat: int = 3) -> list[tuple]:
     """(stage, kind, steps, gated edges, CPU us per step) per window of one
@@ -39,25 +36,12 @@ def window_times(side: int, batch: int, repeat: int = 3) -> list[tuple]:
     graph = kings_graph(side)
     best = None
     for _ in range(repeat):
-        spans = []
-
-        def timed(phases, n_steps, graph, gate, *args):
-            t0 = time.process_time()
-            out = integrate(phases, n_steps, graph, gate, *args)
-            cpu = time.process_time() - t0
-            gated = np.count_nonzero(np.broadcast_to(gate.active, (batch, graph.edge_count)))
-            spans.append((n_steps, int(gated), cpu))
-            return out
-
-        scheduler.integrate = timed
-        try:
-            scheduler.solve_batch(graph, 2, seeds=range(batch))
-        finally:
-            scheduler.integrate = integrate
-        best = spans if best is None else [
-            min(old, new, key=lambda span: span[2]) for old, new in zip(best, spans)]
-    return [(w // 3 + 1, KINDS[w % 3], steps, gated, 1e6 * cpu / max(steps, 1))
-            for w, (steps, gated, cpu) in enumerate(best)]
+        events = []
+        scheduler.solve_batch(graph, 2, seeds=range(batch), on_window=events.append)
+        best = events if best is None else [
+            min(old, new, key=lambda event: event.cpu_s) for old, new in zip(best, events)]
+    return [(event.stage, event.kind, event.n_steps, int(event.gated_edges.sum()),
+             1e6 * event.cpu_s / max(event.n_steps, 1)) for event in best]
 
 
 def closure_times(side: int, batch: int, calls: int = 200, repeat: int = 3) -> list[tuple]:
