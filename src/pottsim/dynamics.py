@@ -103,7 +103,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .validate import count, real
+from .validate import count, real, shaped
 
 __all__ = [
     "PhaseState",
@@ -409,15 +409,14 @@ def integrate(
     draws of n, so the block size changes no draw.
     """
     phases = np.array(phases, dtype=np.float64, ndmin=2)
-    if phases.ndim != 2 or phases.shape[1] != graph.n:
-        raise ValueError(f"phases have shape {phases.shape}, need (B, {graph.n})")
+    shaped("phases", phases, (len(phases), graph.n))
     count("n_steps", n_steps, 0)
     batch, n = phases.shape
     active = _broadcast("gate.active", gate.active, (batch, graph.edge_count))
     enabled = _broadcast("shil.enabled", shil.enabled, (batch, n))
     select = _broadcast("shil.select", shil.select, (batch, n))
-    if xi is not None and np.shape(xi) != (batch, n_steps, n):
-        raise ValueError(f"xi has shape {np.shape(xi)}, need {(batch, n_steps, n)}")
+    if xi is not None:
+        xi = shaped("xi", xi, (batch, n_steps, n))
     # a NaN or inf would spread through every sum it enters; in the lattice
     # layout that includes the empty slots between two iterations' rows
     if not np.isfinite(phases).all():

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .validate import count, is_integer, is_real
+from .validate import count, is_integer, is_real, shaped
 
 __all__ = [
     "Graph",
@@ -25,10 +25,6 @@ __all__ = [
     "load_graph",
     "save_graph",
 ]
-
-# node ids are int64, so a node count must fit in one
-MAX_NODE_COUNT = 2**63 - 1
-
 
 class GraphFormatError(ValueError):
     """Raised when a graph file fails to parse or violates edge invariants."""
@@ -44,10 +40,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        count("node count n", n, 0)
-        if n > MAX_NODE_COUNT:
-            raise ValueError(f"node count n must be at most 2**63 - 1 (int64), got {n}")
-        self.n = int(n)
+        self.n = _node_count("node count n", n)
         rows = list(edges)
         good, i, j, w = _columns(rows, (3,))
         if not good.all():
@@ -92,13 +85,10 @@ class Graph:
         normalizer: rounding is monotone, so no row outsums one whose terms
         are termwise larger."""
         w = self.w if weights is None else np.asarray(weights, dtype=np.float64)
-        if w.shape != self.w.shape:
-            raise ValueError(f"weights have shape {w.shape}, need ({self.edge_count},)")
+        shaped("weights", w, self.w.shape)
         if labels is None:
             return np.add.accumulate(np.r_[0.0, w])[-1]
-        labels = np.asarray(labels)
-        if labels.shape[-1:] != (self.n,):
-            raise ValueError(f"labels have shape {labels.shape}, need (..., {self.n})")
+        labels = shaped("labels", labels, (..., self.n))
         sums = np.zeros(labels.shape[:-1])
         rows, flat = labels.reshape(sums.size, self.n), sums.reshape(-1)
         chunk = max(1, (1 << 18) // max(len(w), 1))
@@ -121,6 +111,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _node_count(name: str, n) -> int:
+    """n as an int, or a ValueError unless it is a count that int64 node ids can index."""
+    count(name, n, 0)
+    if n > 2**63 - 1:
+        raise ValueError(f"{name} must be at most 2**63 - 1 (int64), got {n}")
+    return int(n)
 
 
 def _graph(n: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Graph:
@@ -332,9 +330,10 @@ def _read_dimacs(path) -> tuple:
                     n, declared_m = (_dimacs_int(path, lineno, part) for part in parts[2:])
                     if n < 0 or declared_m < 0:
                         raise GraphFormatError(f"{path}:{lineno}: negative node or edge count")
-                    if n > MAX_NODE_COUNT:
-                        raise GraphFormatError(f"{path}:{lineno}: node count must be at most"
-                                               f" 2**63 - 1 (int64), got {n}")
+                    try:
+                        _node_count("node count", n)
+                    except ValueError as exc:
+                        raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
                 else:
                     raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
         except GraphFormatError as exc:
@@ -359,15 +358,14 @@ def _load_json(path) -> Graph:
             raise GraphFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or "n" not in doc or not isinstance(doc.get("edges"), list):
         raise GraphFormatError(f'{path}: expected {{"n": int, "edges": [...]}}')
-    # json.load gives bool for true/false, never another int subclass
-    if type(doc["n"]) is not int or not 0 <= doc["n"] <= MAX_NODE_COUNT:
-        raise GraphFormatError(
-            f'{path}: "n" must be an integer from 0 to 2**63 - 1 (int64), got {doc["n"]!r}'
-        )
+    try:
+        _node_count('"n"', doc["n"])
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
     rows = doc["edges"]
     good = _mask(list(map(type, rows)), lambda kind: kind is list)
-    shaped, i, j, last = _columns(list(compress(rows, good)), (2, 3))
-    good[good] = shaped
+    formed, i, j, last = _columns(list(compress(rows, good)), (2, 3))
+    good[good] = formed
     if not good.all():
         raise GraphFormatError(
             f"{path}: edge entries must be [i, j] or [i, j, w] with integer"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
+from .validate import shaped
 
 __all__ = [
     "ising_energy",
@@ -32,17 +33,9 @@ def spins_to_sigma(values) -> np.ndarray:
     return np.where(values == 0, 1.0, -1.0)
 
 
-def _check_shape(vec, shape: tuple, name: str) -> np.ndarray:
-    """vec as an array of the given shape, or a ValueError that names it."""
-    arr = np.asarray(vec)
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, need {shape}")
-    return arr
-
-
 def ising_energy(graph: Graph, sigma) -> float:
     """Sum of J_ij * sigma_i * sigma_j over edges, sigma in {-1, +1}."""
-    sigma = _check_shape(sigma, (graph.n,), "sigma")
+    sigma = shaped("sigma", sigma, (graph.n,))
     return float(np.sum(graph.w * sigma[graph.ei] * sigma[graph.ej]))
 
 
@@ -51,13 +44,13 @@ def phase_energy(graph: Graph, phases) -> float:
 
     Serves both the two-phase Ising case and the N-phase vector-Potts case.
     """
-    phases = _check_shape(phases, (graph.n,), "phases")
+    phases = shaped("phases", phases, (graph.n,))
     return float(np.sum(graph.w * np.cos(phases[graph.ei] - phases[graph.ej])))
 
 
 def potts_energy(graph: Graph, spins) -> float:
     """Sum of J_ij over monochromatic edges (Kronecker-delta interaction)."""
-    spins = _check_shape(spins, (graph.n,), "spins")
+    spins = shaped("spins", spins, (graph.n,))
     return float(np.sum(graph.w * (spins[graph.ei] == spins[graph.ej])))
 
 
@@ -71,8 +64,7 @@ def ising_coloring_energy(graph: Graph, onehot, scale: float = 1.0) -> float:
     weights do not enter the conflict term.
     """
     bits = np.asarray(onehot, dtype=np.float64)
-    if bits.ndim != 2 or bits.shape[0] != graph.n:
-        raise ValueError(f"one-hot matrix must be {graph.n} x N, got shape {bits.shape}")
+    shaped("onehot", bits, (graph.n, bits.shape[-1] if bits.ndim else 1))  # any N colors
     uncolored = np.sum((1.0 - bits.sum(axis=1)) ** 2)
     conflicts = np.sum(bits[graph.ei] * bits[graph.ej])
     return float(scale * (uncolored + conflicts))
@@ -86,12 +78,12 @@ def lyapunov_energy(graph: Graph, phases, gate, shil, params) -> float:
 
     The injection term has minima exactly at phi_i and phi_i + pi.
     """
-    phases = _check_shape(phases, (graph.n,), "phases")
-    active = _check_shape(gate.active, (graph.edge_count,), "gate.active").astype(bool)
+    phases = shaped("phases", phases, (graph.n,))
+    active = shaped("gate.active", gate.active, (graph.edge_count,)).astype(bool)
     coupling = np.sum(
         graph.w[active] * np.cos(phases[graph.ei[active]] - phases[graph.ej[active]])
     )
-    enabled = _check_shape(shil.enabled, (graph.n,), "shil.enabled").astype(bool)
-    phi = _check_shape(shil.select, (graph.n,), "shil.select").astype(np.float64)
+    enabled = shaped("shil.enabled", shil.enabled, (graph.n,)).astype(bool)
+    phi = shaped("shil.select", shil.select, (graph.n,)).astype(np.float64)
     locking = np.sum(np.cos(2.0 * (phases[enabled] - phi[enabled])))
     return float(params.coupling * coupling - 0.5 * params.locking * locking)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Graph
 from .oracle import cut_baseline_kind
-from .validate import count, is_integer
+from .validate import count, is_integer, shaped
 
 __all__ = [
     "SolveResult",
@@ -34,9 +34,9 @@ __all__ = [
 
 def coloring_accuracy(graph: Graph, coloring) -> float:
     """Fraction of edges with differently colored endpoints; 1.0 if no edges."""
-    coloring = np.asarray(coloring)
-    if coloring.shape != (graph.n,):
-        raise ValueError(f"coloring has shape {coloring.shape}, need ({graph.n},)")
+    coloring = shaped("coloring", coloring, (graph.n,))
+    if not np.issubdtype(coloring.dtype, np.integer):
+        raise ValueError(f"coloring must be an integer array, got dtype {coloring.dtype}")
     if graph.edge_count == 0:
         return 1.0
     good = np.count_nonzero(coloring[graph.ei] != coloring[graph.ej])
@@ -44,10 +44,10 @@ def coloring_accuracy(graph: Graph, coloring) -> float:
 
 
 def cut_value(graph: Graph, partition) -> float:
-    """Total weight of edges crossing the partition, by Graph.cut_sums."""
-    partition = np.asarray(partition)
-    if partition.shape != (graph.n,):
-        raise ValueError(f"partition has shape {partition.shape}, need ({graph.n},)")
+    """Total weight of edges crossing the 0/1 partition, by Graph.cut_sums."""
+    partition = shaped("partition", partition, (graph.n,))
+    if not np.isin(partition, (0, 1)).all():
+        raise ValueError("partition must hold only the labels 0 and 1")
     return float(graph.cut_sums(partition))
 
 
@@ -67,9 +67,7 @@ def cut_accuracy(graph: Graph, partition, baseline_cut: float) -> float:
 
 def hamming(c1, c2) -> int:
     """Number of positions where the two colorings differ."""
-    c1, c2 = np.asarray(c1), np.asarray(c2)
-    if c1.shape != c2.shape:
-        raise ValueError("colorings must have equal length")
+    c2 = shaped("c2", c2, np.shape(c1))
     return int(np.count_nonzero(c1 != c2))
 
 
@@ -233,9 +231,8 @@ def aggregate(results: list[SolveResult], graph: Graph) -> RunStats:
     """
     if not results:
         raise ValueError("need at least one result")
-    for r in results:
-        if len(r.coloring) != graph.n:
-            raise ValueError("result does not match the graph")
+    for k, r in enumerate(results):
+        shaped(f"results[{k}].coloring", r.coloring, (graph.n,))
     per_iteration = [(r.cut_accuracy, r.coloring_accuracy, r.seed) for r in results]
     col_acc = np.array([r.coloring_accuracy for r in results])
     cut_acc = np.array([r.cut_accuracy for r in results])

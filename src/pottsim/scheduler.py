@@ -35,7 +35,7 @@ from .graph import Graph
 from .metrics import SolveResult, coloring_accuracy, cut_accuracy
 from .oracle import cut_baseline
 from .seeds import rng_for
-from .validate import count, real
+from .validate import count, real, shaped
 
 __all__ = [
     "StagePlan",
@@ -114,11 +114,13 @@ def quantize_phase(theta: float, k: int) -> int:
 
 
 def quantize_phases(thetas: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized quantize_phase over a phase array of any shape."""
+    """Vectorized quantize_phase over a finite phase array of any shape."""
     count("k", k, 2)
-    thetas = wrap_phases(np.asarray(thetas, dtype=np.float64).copy())
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if not np.isfinite(thetas).all():
+        raise ValueError("phases must be finite, got NaN or inf")
     targets = TWO_PI * np.arange(k) / k
-    diff = thetas[..., None] - targets
+    diff = wrap_phases(thetas)[..., None] - targets
     dist = np.abs(np.mod(diff + math.pi, TWO_PI) - math.pi)
     # argmin returns the first (smallest) index on exact ties
     return np.argmin(dist, axis=-1).astype(np.int64)
@@ -133,19 +135,20 @@ def lock_readout(phases, phi, tolerance: float):
     tolerance of its pair.
     """
     shifted = phases - phi
+    bits = quantize_phases(shifted, 2)  # first, so NaN or inf fails before np.mod warns
     rel = np.mod(shifted, math.pi)
-    dist = np.minimum(rel, math.pi - rel)
-    return quantize_phases(shifted, 2), np.all(dist <= tolerance, axis=-1)
+    return bits, np.all(np.minimum(rel, math.pi - rel) <= tolerance, axis=-1)
 
 
 def partition_from_phases(
     state: PhaseState, tolerance: float = LOCK_TOLERANCE
 ) -> tuple[np.ndarray, bool]:
-    """Binary labels from nearest of {0, pi}; locked iff all within tolerance."""
+    """Binary labels of one phase row, nearest of {0, pi}; locked iff all within tolerance."""
     real("tolerance", tolerance, positive=True)
     if not tolerance < math.pi / 2:
         raise ValueError(f"tolerance must lie in (0, pi/2), got {tolerance!r}")
-    labels, locked = lock_readout(state.phases, 0.0, tolerance)
+    phases = shaped("state.phases", state.phases, np.shape(state.phases)[-1:])
+    labels, locked = lock_readout(phases, 0.0, tolerance)
     return labels, bool(locked)
 
 
@@ -154,9 +157,7 @@ def gate_couplings(graph: Graph, labels) -> CouplingGate:
 
     labels may be (B, n), one row per iteration; the gate is then (B, E).
     """
-    labels = np.asarray(labels)
-    if labels.shape[-1:] != (graph.n,):
-        raise ValueError("labels length does not match node count")
+    labels = shaped("labels", labels, (..., graph.n))
     return CouplingGate(labels[..., graph.ei] == labels[..., graph.ej])
 
 

@@ -1,10 +1,12 @@
 """Argument checks shared by every module: each failure raises a ValueError
-that names the argument, and a value that passes is never converted."""
+that names the argument; shaped returns np.asarray(value), the rest nothing."""
 
 import math
 import numbers
 
-__all__ = ["is_integer", "is_real", "count", "real"]
+import numpy as np
+
+__all__ = ["is_integer", "is_real", "count", "real", "shaped"]
 
 
 def is_integer(kind: type) -> bool:
@@ -30,3 +32,14 @@ def real(name: str, value, positive: bool = False, finite: bool = True) -> None:
         sign = "positive" if positive else "nonnegative"
         bound = " and finite" if finite else ""
         raise ValueError(f"{name} must be {sign}{bound} (a real number, not bool), got {value!r}")
+
+
+def shaped(name: str, value, need: tuple) -> np.ndarray:
+    """np.asarray(value), or a ValueError unless its shape is need; a need
+    that starts with ... matches any leading axes."""
+    array, text = np.asarray(value), str(need).replace("Ellipsis", "...")
+    if need[:1] == (...,):
+        need = array.shape[:max(array.ndim + 1 - len(need), 0)] + need[1:]
+    if array.shape != need:
+        raise ValueError(f"{name} has shape {array.shape}, need {text}")
+    return array

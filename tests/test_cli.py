@@ -379,6 +379,17 @@ class TestBadInput:
         path.write_text(json.dumps(doc))
         self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path), "cut_accuracy")
 
+    def test_stats_non_binary_partition(self, k4_path, tmp_path, capsys):
+        # labels 0..3 cut all six edges of K4: 1.5 against the exact max cut 4,
+        # which stats used to accept
+        outdir = tmp_path / "r"
+        self._solve(k4_path, outdir)
+        path = outdir / "result_0000.json"
+        doc = json.loads(path.read_text())
+        doc.update(partition=[0, 1, 2, 3], cut_accuracy=6 / cut_baseline(kings_graph(2))[0])
+        path.write_text(json.dumps(doc))
+        self._fails(["stats", "-g", k4_path, str(outdir)], capsys, str(path), "partition")
+
     @pytest.mark.parametrize("line,name", [("t_init = inf", "t_init"),
                                            ("t_anneal1 = nan", "t_anneal1")])
     def test_nonfinite_duration_in_config(self, line, name, k4_path, tmp_path, capsys):

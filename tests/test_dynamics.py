@@ -292,6 +292,18 @@ class TestIntegrateChecks:
         assert phases.shape == (3, K3.n)
         assert time == pytest.approx(5 * DynamicsParams().dt)
 
+    def test_names_the_shape_it_needs(self):
+        with pytest.raises(ValueError, match=re.escape(
+                f"phases has shape (2, 3, {K3.n}), need (2, {K3.n})")):
+            self.run(phases=np.zeros((2, 3, K3.n)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"xi has shape (3, 4, {K3.n}), need (3, 5, {K3.n})")):
+            self.run(xi=np.zeros((3, 4, K3.n)))
+
+    def test_xi_may_be_a_list(self):
+        xi = np.random.default_rng(3).standard_normal((3, 5, K3.n))
+        assert np.array_equal(self.run(xi=xi.tolist())[0], self.run(xi=xi)[0])
+
     def test_step_rejects_short_xi(self):
         gate, shil = free_config(EDGE)
         with pytest.raises(ValueError, match="xi"):

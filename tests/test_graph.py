@@ -359,6 +359,20 @@ class TestBadInputFailsByName:
         assert str(info.value) == (
             f"{path}:2: node count must be at most 2**63 - 1 (int64), got {n}")
 
+    @pytest.mark.parametrize("n,message", [
+        (2**63, f"must be at most 2**63 - 1 (int64), got {2**63}"),
+        (-1, "must be an integer >= 0 (not bool), got -1"),
+        (True, "must be an integer >= 0 (not bool), got True"),
+    ])
+    def test_json_node_count_is_checked_as_the_constructor_does(self, n, message, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": n, "edges": []}))
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(path)
+        assert str(info.value) == f'{path}: "n" {message}'
+        with pytest.raises(ValueError, match=re.escape(f"node count n {message}")):
+            Graph(n, [])
+
     @pytest.mark.parametrize("ext", ["col", "json"])
     def test_largest_node_count_loads(self, ext, tmp_path):
         path = tmp_path / f"g.{ext}"

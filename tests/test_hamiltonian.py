@@ -128,6 +128,14 @@ class TestIsingColoringEnergy:
         with pytest.raises(ValueError):
             ising_coloring_energy(EDGE, [[1, 0]])
 
+    @pytest.mark.parametrize("onehot,need", [
+        ([[1, 0]], (2, 2)), ([1, 0], (2, 2)), (1, (2, 1)), ([[[1, 0], [0, 1]]], (2, 2)),
+    ], ids=["rows", "1d", "0d", "3d"])
+    def test_names_the_shape_it_needs(self, onehot, need):
+        with pytest.raises(ValueError, match=re.escape(
+                f"onehot has shape {np.shape(onehot)}, need {need}")):
+            ising_coloring_energy(EDGE, onehot)
+
     @pytest.mark.parametrize("graph", [EDGE, TRIANGLE, kings_graph(2)])
     @pytest.mark.parametrize("n_colors", [2, 3])
     def test_zero_iff_proper_exhaustive(self, graph, n_colors):

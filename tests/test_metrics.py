@@ -72,6 +72,13 @@ class TestColoringAccuracy:
         with pytest.raises(ValueError, match=re.escape(f"coloring has shape {shape}, need (3,)")):
             coloring_accuracy(TRIANGLE, np.zeros(shape, dtype=np.int64))
 
+    @pytest.mark.parametrize("coloring", [np.full(9, np.nan), np.zeros(9), np.zeros(9, dtype=bool)],
+                             ids=["nan", "float", "bool"])
+    def test_rejects_a_coloring_that_is_not_integer(self, coloring):
+        # an all-NaN coloring used to score 1.0: NaN differs from itself
+        with pytest.raises(ValueError, match="coloring must be an integer array"):
+            coloring_accuracy(kings_graph(3), coloring)
+
     def test_one_iff_zero_potts_energy(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
@@ -111,6 +118,18 @@ class TestCutAccuracy:
 
     def test_edgeless_is_one(self):
         assert cut_accuracy(Graph(3, []), [0, 0, 1], 0.0) == 1.0
+
+    @pytest.mark.parametrize("partition", [[0, 1, 2], [0, 1, -1], [0.0, np.nan, 1.0]])
+    def test_rejects_labels_other_than_0_and_1(self, partition):
+        # [0, 1, 2] cuts all three edges and used to score 1.5 against the exact 2
+        with pytest.raises(ValueError, match="partition must hold only the labels 0 and 1"):
+            cut_value(TRIANGLE, partition)
+        with pytest.raises(ValueError, match="partition must hold only the labels 0 and 1"):
+            cut_accuracy(TRIANGLE, partition, cut_baseline(TRIANGLE)[0])
+
+    @pytest.mark.parametrize("partition", [[0, 1, 1], [False, True, True], [0.0, 1.0, 1.0]])
+    def test_accepts_any_0_1_labels(self, partition):
+        assert cut_value(TRIANGLE, partition) == 2.0
 
     def test_can_exceed_one(self):
         # non-optimal baseline is allowed; value is reported as-is
@@ -152,7 +171,8 @@ class TestCutSums:
         sums = graph.cut_sums(np.array(rows))
         assert sums.shape == (len(rows),)
         assert same_bits(sums, [loop_cut_sum(graph, row) for row in rows])
-        assert same_bits(cut_value(graph, rows[0]), loop_cut_sum(graph, rows[0]))
+        binary = [label % 2 for label in rows[0]]  # cut_value takes 0/1 partitions only
+        assert same_bits(cut_value(graph, binary), loop_cut_sum(graph, binary))
         positive = np.maximum(graph.w, 0.0)
         assert same_bits(graph.cut_sums(weights=positive), loop_cut_sum(graph, None, positive))
 
@@ -190,7 +210,7 @@ class TestCutSums:
     @pytest.mark.parametrize("labels", [None, [0, 1, 0, 1]])
     def test_rejects_weights_of_another_shape(self, labels, weights):
         graph = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        with pytest.raises(ValueError, match=r"weights have shape .*, need \(3,\)"):
+        with pytest.raises(ValueError, match=r"weights has shape .*, need \(3,\)"):
             graph.cut_sums(labels, weights=weights)
 
 
@@ -207,6 +227,10 @@ class TestHamming:
 
     def test_single_difference(self):
         assert hamming([0, 1], [0, 2]) == 1
+
+    def test_rejects_colorings_of_unequal_shape(self):
+        with pytest.raises(ValueError, match=re.escape("c2 has shape (2,), need (3,)")):
+            hamming([0, 1, 2], [0, 1])
 
     def test_rotation_never_exceeds_raw(self):
         rng = np.random.default_rng(29)
@@ -339,6 +363,12 @@ class TestAggregate:
         g = kings_graph(2)
         with pytest.raises(ValueError):
             aggregate([make_result([0, 1], col_acc=1.0)], g)
+
+    def test_names_the_result_that_does_not_fit(self):
+        results = [make_result([0, 1, 2, 3], col_acc=1.0), make_result([0, 1], col_acc=1.0)]
+        with pytest.raises(ValueError, match=re.escape(
+                "results[1].coloring has shape (2,), need (4,)")):
+            aggregate(results, kings_graph(2))
 
     @pytest.mark.parametrize("g", [
         kings_graph(3), kings_graph(7), Graph(30, [(i, i + 1, 1.0) for i in range(29)]),

@@ -19,6 +19,7 @@ from pottsim.scheduler import (
     _resolve_cut_baseline,
     assign_shil,
     gate_couplings,
+    lock_readout,
     partition_from_phases,
     quantize_phase,
     quantize_phases,
@@ -56,6 +57,17 @@ class TestQuantizePhase:
     def test_rejects_levels_that_are_not_an_integer(self, k):
         with pytest.raises(ValueError, match="k must be an integer >= 2"):
             quantize_phases(np.array([0.0, 1.0]), k)
+
+    @pytest.mark.parametrize("read", [
+        lambda: quantize_phase(math.nan, 4),
+        lambda: quantize_phases([math.inf, 1.0], 4),
+        lambda: lock_readout(np.array([0.0, -math.inf]), 0.0, 0.1),
+        lambda: partition_from_phases(PhaseState(np.array([math.nan, 0.0]))),
+    ], ids=["quantize_phase-nan", "quantize_phases-inf", "lock_readout", "partition"])
+    def test_rejects_nonfinite_phases(self, read):
+        # a NaN phase used to read as label 0
+        with pytest.raises(ValueError, match="phases must be finite, got NaN or inf"):
+            read()
 
     def test_accepts_numpy_integer_levels(self):
         assert quantize_phases(np.array([0.0, math.pi]), np.int64(2)).tolist() == [0, 1]
@@ -104,6 +116,11 @@ class TestPartitionFromPhases:
         with pytest.raises(ValueError):
             partition_from_phases(state, math.pi)
 
+    def test_rejects_more_than_one_row(self):
+        # one locked flag per row: a (B, n) state used to fail inside bool()
+        with pytest.raises(ValueError, match=re.escape("state.phases has shape (2, 3), need (3,)")):
+            partition_from_phases(PhaseState(np.zeros((2, 3))))
+
     @pytest.mark.parametrize("tolerance", [True, "0.1", math.nan], ids=repr)
     def test_rejects_a_tolerance_that_is_not_a_real_number(self, tolerance):
         with pytest.raises(ValueError, match=r"tolerance must be positive and finite \(a real"):
@@ -125,6 +142,12 @@ class TestGateCouplings:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gate_couplings(TRIANGLE, [0, 1])
+
+    @pytest.mark.parametrize("labels", [[0, 1], np.zeros((2, 4), dtype=int)], ids=["1d", "2d"])
+    def test_names_the_shape_it_needs(self, labels):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels has shape {np.shape(labels)}, need (..., 3)")):
+            gate_couplings(TRIANGLE, labels)
 
 
 class TestAssignShil:

@@ -211,3 +211,21 @@ def test_only_the_validate_module_imports_numbers():
         or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
     ]
     assert importers == ["validate"]
+
+
+def test_only_the_validate_module_compares_shapes():
+    """Array shapes are checked by validate.shaped; a module that compares a
+    .shape or .ndim is writing its own check."""
+    def shape_like(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return isinstance(node, ast.Attribute) and node.attr in ("shape", "ndim")
+
+    comparers = sorted({
+        module
+        for module, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(map(shape_like, [node.left, *node.comparators]))
+    })
+    assert comparers == ["validate"]

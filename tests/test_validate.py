@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pottsim.validate import count, is_integer, is_real, real
+from pottsim.validate import count, is_integer, is_real, real, shaped
 
 
 class TestCount:
@@ -83,3 +83,32 @@ class TestTypePredicates:
     @pytest.mark.parametrize("kind", [bool, np.bool_, str, complex, type(None)])
     def test_neither(self, kind):
         assert not is_real(kind) and not is_integer(kind)
+
+
+class TestShaped:
+    def test_returns_the_array_itself(self):
+        array = np.zeros(3)
+        assert shaped("x", array, (3,)) is array
+
+    def test_converts_what_is_not_an_array(self):
+        assert shaped("x", [[1, 2]], (1, 2)).tolist() == [[1, 2]]
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 3), ()])
+    def test_rejects_another_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"x has shape {shape}, need (3,)")):
+            shaped("x", np.zeros(shape), (3,))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 3)])
+    def test_leading_axes_match_anything(self, shape):
+        assert shaped("labels", np.zeros(shape), (..., 3)).shape == shape
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 2), (3, 3, 1)])
+    def test_leading_axes_keep_the_trailing_ones(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels has shape {shape}, need (..., 3)")):
+            shaped("labels", np.zeros(shape), (..., 3))
+
+    def test_leading_axes_before_several_trailing_ones(self):
+        assert shaped("x", np.zeros((5, 2, 3)), (..., 2, 3)).shape == (5, 2, 3)
+        with pytest.raises(ValueError, match=re.escape("x has shape (3,), need (..., 2, 3)")):
+            shaped("x", np.zeros(3), (..., 2, 3))
