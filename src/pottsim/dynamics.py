@@ -55,21 +55,27 @@ gives theta back bit for bit. The injection term takes the tangent of
 with weights of ordinary size. tests/test_kernel_contract.py keeps the
 full-angle loop and pins integrate to it bit for bit.
 
-The coupling term has two edge layouts, chosen once per window; both give
-the same bits. The compacted layout gathers both endpoints of every gated
-edge and scatters the sines with np.bincount, which adds each node's terms
-in edge order from 0.0. The lattice layout groups the gated edges by their
-offset d = j - i in the flat half-phase array, one row per class of
-(K, B * n) slot arrays: slot (k, i) is the pair (i, i + d_k), weighted
+The drift has two edge layouts, chosen once per window; both give the same
+bits, and in both one half_angle_sine call per step covers the coupling and
+the lock term together. The compacted layout gathers both endpoints of
+every gated edge and scatters the sines with np.bincount, which adds each
+node's terms in edge order from 0.0. Its one buffer holds the edge slots,
+padded to a whole cache line, then the B * n lock slots (h + h) - phi,
+which are added after the two bincounts; a lock-only window is this layout
+with no edge. The lattice layout groups the gated edges by their offset
+d = j - i in the flat half-phase array, one row per class of (K, B * n)
+slot arrays: slot (k, i) is the pair (i, i + d_k), weighted
 dt * coupling * w where a gated edge sits and 0 elsewhere, straddling slots
-included; a row's last d_k slots are never summed. One half_angle_sine call
-covers all rows; the source sums add src[:-d] += s[k, :-d] in increasing d
-and the target sums dst[d:] += s[k, :-d] in decreasing d, each from 0.0,
-and the drift is src - dst. Edges are sorted by (i, j), so a node's edges
-as source come in increasing d and as target in decreasing d: the order
-np.bincount adds them in. An empty slot adds t * 0 / (1 + t^2) = +-0, and
-adding +-0 leaves a sum that started at +0.0 unchanged, sign included. The
-lattice layout wins when the slices are dense and long; LATTICE_MIN_NODES and
+included; a row's last d_k slots pair with nothing and hold +0.0. The lock
+term is row K. The source sums are one np.add.reduce(s[:K], axis=0,
+initial=0.0), which adds whole rows one after another in increasing d from
++0.0; the target sums add dst[d:] += s[k, :-d] in decreasing d, also from
++0.0; the drift is src - dst, plus the lock row. Edges are sorted by
+(i, j), so a node's edges as source come in increasing d and as target in
+decreasing d: the order np.bincount adds them in. An empty slot adds
+t * 0 / (1 + t^2) = +-0, and so does a row's tail; adding +-0 leaves a sum
+that started at +0.0 unchanged, sign included. The lattice layout wins when
+the slices are dense and long; LATTICE_MIN_NODES and
 LATTICE_MAX_SLOTS_PER_EDGE say when. An empty slot between two iterations
 would carry a NaN from one row into the next (0 * tan(NaN) is NaN), which is
 one more reason integrate rejects non-finite phases and noise. From finite
@@ -87,12 +93,14 @@ Every float64 array the step loop reads or writes in full is made once per
 window by _line_aligned and starts on a 64-byte cache line, and so does
 each row of a 2-D one: the half phases, the noise rows, the edge and lock
 weights, the lock references, the lattice slots and sums and the sine's
-buffers. Each step writes into them with out= and in place. NumPy's SIMD
-loops run slower from an address off a line, and malloc starts large
-arrays 16 bytes past one: on a 2-core AVX-512 Xeon VM, a * a into a third
-array of 25 392 doubles took 16.8 us from there against 8.0 us from a line,
-and a - b 16.5 against 8.8 us. Every operation keeps its operands and its
-order, so the bits are the same.
+buffers. NumPy's SIMD loops run slower from an address off a line, and
+malloc starts large arrays 16 bytes past one: on a 2-core AVX-512 Xeon VM,
+a * a into a third array of 25 392 doubles took 16.8 us from there against
+8.0 us from a line, and a - b 16.5 against 8.8 us. Each step writes into
+these buffers in place, with out given positionally: on the desk-planar
+graphs, about 100 phases, a step is about a dozen NumPy calls, and their
+overhead, not the arithmetic, sets its time. Every operation keeps its
+operands and its order, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -141,6 +149,11 @@ LATTICE_MAX_SLOTS_PER_EDGE = 2
 # the cache line every buffer of the step loop, and each of its rows, starts on
 LINE_BYTES = 64
 
+# 1.0 as a read-only 0-d array: a ufunc converts a Python float operand anew
+# on every call, which cost 0.18 of 0.54 us for an add on 356 doubles
+_ONE = np.array(1.0)
+_ONE.setflags(write=False)
+
 
 def wrap_phases(phases: np.ndarray) -> np.ndarray:
     """Wrap angles into [0, 2*pi); values landing exactly on 2*pi map to 0.
@@ -165,11 +178,11 @@ def half_angle_sine(half: np.ndarray, scale) -> np.ndarray:
 def _half_angle_sine_into(half: np.ndarray, scale, t: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """half_angle_sine written into t, which may be half itself, with denom
     as scratch; returns t."""
-    np.tan(half, out=t)
-    np.multiply(t, t, out=denom)
-    denom += 1.0
-    t *= scale
-    t /= denom
+    np.tan(half, t)
+    np.multiply(t, t, denom)
+    np.add(denom, _ONE, denom)
+    np.multiply(t, scale, t)
+    np.divide(t, denom, t)
     return t
 
 
@@ -311,62 +324,94 @@ def _broadcast(name: str, array, shape: tuple) -> np.ndarray:
         ) from None
 
 
-def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w: np.ndarray):
-    """The coupling term of the gated edges (ei, ej) of the flat half phases:
-    gathered per edge, scattered per node by np.bincount."""
-    size = len(half)
-    edge_w = _line_aligned(edge_w.shape, edge_w)
-    s, denom = _line_aligned(edge_w.shape), _line_aligned(edge_w.shape)
+def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w: np.ndarray,
+                        lock=None):
+    """The drift of the gated edges (ei, ej) of the flat half phases, gathered
+    per edge and scattered per node by np.bincount, plus the lock term where
+    lock = (lock_w, select) is given.
 
-    def coupling() -> np.ndarray:
-        np.subtract(half[ei], half[ej], out=s)
-        _half_angle_sine_into(s, edge_w, s, denom)
-        drift = np.bincount(ei, weights=s, minlength=size)
-        drift -= np.bincount(ej, weights=s, minlength=size)
-        return drift
+    One line-aligned buffer holds the E edge slots, padded to a whole line
+    with slots of weight 0 that are never summed, then the B * n lock slots,
+    so one sine call covers both terms. With no gated edge this is the drift
+    of a lock-only window.
+    """
+    size, edges = len(half), len(ei)
+    per_line = LINE_BYTES // 8
+    first = -(-edges // per_line) * per_line  # the lock slots' first line
+    weights = _line_aligned((edges if lock is None else first + size,), 0.0)
+    weights[:edges] = edge_w
+    if lock is not None:
+        lock_w, select = lock
+        weights[first:] = lock_w
+    s, denom = _line_aligned(weights.shape, 0.0), _line_aligned(weights.shape)
+    edge_s, lock_s = s[:edges], None if lock is None else s[first:]
 
-    return coupling
+    def drift() -> np.ndarray:
+        np.subtract(half[ei], half[ej], edge_s)
+        if lock_s is not None:
+            np.add(half, half, lock_s)
+            np.subtract(lock_s, select, lock_s)
+        _half_angle_sine_into(s, weights, s, denom)
+        torque = np.bincount(ei, edge_s, size)
+        np.subtract(torque, np.bincount(ej, edge_s, size), torque)
+        # lock + torque has the bits of torque + lock, as IEEE addition
+        # commutes; with no gated edge the torque is an integer 0
+        return torque if lock_s is None else np.add(lock_s, torque, lock_s)
+
+    return drift
 
 
-def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge_w: np.ndarray):
-    """The same coupling term read as one slice pair per offset d = j - i,
-    or None where the compacted layout pays (see LATTICE_MIN_NODES).
+def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge_w: np.ndarray,
+                      lock=None):
+    """The same drift read as one slice pair per offset d = j - i, or None
+    where the compacted layout pays (see LATTICE_MIN_NODES).
 
     Row k of the (K, B * n) slot arrays is class d_k: slot (k, i) is the
     pair (i, i + d_k), weighted edge_w where a gated edge sits and 0
-    elsewhere; a row's last d_k slots are never summed. Source sums add the
-    rows in increasing d and target sums in decreasing d, each from 0.0;
-    that is np.bincount's order over edges sorted by (i, j), and an empty
-    slot adds +-0, so the result is _compacted_coupling's, bit for bit.
+    elsewhere; a row's last d_k slots hold +0.0. A lock (lock_w, select)
+    adds row K, (h + h) - select weighted lock_w, which the layout rule does
+    not count. Source sums add the rows in increasing d and target sums in
+    decreasing d, each from +0.0; that is np.bincount's order over edges
+    sorted by (i, j), and an empty slot adds +-0, so the result is
+    _compacted_coupling's, bit for bit.
     """
     size = len(half)
     classes = np.flatnonzero(np.bincount(offset))
     if size < LATTICE_MIN_NODES or len(classes) * size > LATTICE_MAX_SLOTS_PER_EDGE * len(offset):
         return None
-    weights = _line_aligned((len(classes), size), 0.0)
+    rows = list(enumerate(classes.tolist()))
+    weights = _line_aligned((len(rows) + (lock is not None), size), 0.0)
     weights[np.searchsorted(classes, offset), ei] = edge_w
     # the sine runs in place on the differences; a row's unwritten tail holds
-    # 0, whose sine, weighted 0, is 0 again
+    # +0.0, whose sine, weighted 0, is +0.0 again
     diff, denom = _line_aligned(weights.shape, 0.0), _line_aligned(weights.shape)
     src, dst = _line_aligned((size,)), _line_aligned((size,))
-    rows = list(enumerate(classes.tolist()))
     # views made once: slicing them per call cost 8 % of a call at kings 7 x 40
     pairs = [(half[:-d], half[d:], diff[k, :-d]) for k, d in rows]
+    targets = [(dst[d:], diff[k, :-d]) for k, d in reversed(rows)]
+    edge_rows, lock_row = diff[:len(rows)], None
+    if lock is not None:
+        lock_w, select = lock
+        weights[-1] = lock_w
+        lock_row = diff[-1]
 
-    def coupling() -> np.ndarray:
+    def drift() -> np.ndarray:
         for left, right, out in pairs:
-            np.subtract(left, right, out=out)
-        s = _half_angle_sine_into(diff, weights, diff, denom)
-        src.fill(0.0)
-        for k, d in rows:
-            src[:-d] += s[k, :-d]
+            np.subtract(left, right, out)
+        if lock_row is not None:
+            np.add(half, half, lock_row)
+            np.subtract(lock_row, select, lock_row)
+        _half_angle_sine_into(diff, weights, diff, denom)
+        # whole rows in increasing d, each sum from +0.0; a row's tail adds
+        # +0.0, which changes no bit of a sum that started at +0.0
+        np.add.reduce(edge_rows, axis=0, initial=0.0, out=src)
         dst.fill(0.0)
-        for k, d in reversed(rows):
-            dst[d:] += s[k, :-d]
-        np.subtract(src, dst, out=src)
-        return src
+        for out, row in targets:
+            np.add(out, row, out)
+        np.subtract(src, dst, src)
+        return src if lock_row is None else np.add(src, lock_row, src)
 
-    return coupling
+    return drift
 
 
 def integrate(
@@ -403,7 +448,10 @@ def integrate(
     full-angle loop (see the module docstring). Both edge layouts, chosen
     once per window from the graph and gate (LATTICE_MIN_NODES), add each
     node's torques in np.bincount's order for one row; the compacted one
-    lists the gated edges in (iteration, edge) order as flat indices. Edge,
+    lists the gated edges in (iteration, edge) order as flat indices. Each
+    layout's closure returns the whole drift, lock term included, from one
+    sine call, so a step is: record, add the drift, add the noise row,
+    advance the clock. Edge,
     lock and noise scales are folded in once per window or noise block, the
     same products as per step, and c * n normals from a generator equal c
     draws of n, so the block size changes no draw.
@@ -429,14 +477,12 @@ def integrate(
     # because injection pulls toward phi
     edge_w = (params.dt * params.coupling) * graph.w[edge]
     size = batch * n
-    lock_w = None
+    lock = None
     if params.locking > 0.0 and enabled.any():
         select = _line_aligned((size,), np.where(enabled, select, 0.0).reshape(-1))
         if not np.isfinite(select).all():
             raise ValueError("shil.select must be finite where injection is on, got NaN or inf")
-        lock_w = _line_aligned((size,), np.where(enabled, -params.dt * params.locking, 0.0)
-                               .reshape(-1))
-        lock, lock_denom = _line_aligned((size,)), _line_aligned((size,))
+        lock = (np.where(enabled, -params.dt * params.locking, 0.0).reshape(-1), select)
     # step-major noise: row j holds step j's noise for all B * n phases
     noise_buf, block = None, max(n_steps, 1)
     if params.noise > 0.0:
@@ -448,12 +494,14 @@ def integrate(
         noise_buf = _line_aligned((block, size))
         draws = np.empty((block, n)) if xi is None else None
     half = _line_aligned((size,), 0.5 * phases.reshape(-1))  # h = theta / 2, exact
-    coupling = None
+    ei = graph.ei[edge] + n * iteration
+    drift = None
     if len(edge_w):
-        ei = graph.ei[edge] + n * iteration
         offset = (graph.ej - graph.ei)[edge]
-        coupling = (_lattice_coupling(half, ei, offset, edge_w)
-                    or _compacted_coupling(half, ei, ei + offset, edge_w))
+        drift = (_lattice_coupling(half, ei, offset, edge_w, lock)
+                 or _compacted_coupling(half, ei, ei + offset, edge_w, lock))
+    elif lock is not None:  # a lock-only window: no edge to gather
+        drift = _compacted_coupling(half, ei, ei, edge_w, lock)
     for start in range(0, n_steps, block):
         c = min(block, n_steps - start)
         if noise_buf is not None:
@@ -468,19 +516,10 @@ def integrate(
             if recorder is not None:
                 recorder.record(PhaseState(half[:n] + half[:n], time), start + j)
             # both drift terms are taken from the phases at the start of the step
-            drift = None if coupling is None else coupling()
-            if lock_w is not None:
-                np.add(half, half, out=lock)
-                np.subtract(lock, select, out=lock)
-                _half_angle_sine_into(lock, lock_w, lock, lock_denom)
-                if drift is None:
-                    drift = lock
-                else:
-                    drift += lock
             if drift is not None:
-                half += drift
+                np.add(half, drift(), half)
             if noise_buf is not None:
-                half += noise_buf[j]
+                np.add(half, noise_buf[j], half)
             time += params.dt
     phases = wrap_phases((half + half).reshape(batch, n))
     if recorder is not None:

@@ -32,11 +32,18 @@ __all__ = [
 ]
 
 
+def _labels(name: str, labels, need: tuple) -> np.ndarray:
+    """shaped(name, labels, need), or a ValueError unless it holds integers
+    (bool, float and NaN labels fail)."""
+    labels = shaped(name, labels, need)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"{name} must be an integer array, got dtype {labels.dtype}")
+    return labels
+
+
 def coloring_accuracy(graph: Graph, coloring) -> float:
     """Fraction of edges with differently colored endpoints; 1.0 if no edges."""
-    coloring = shaped("coloring", coloring, (graph.n,))
-    if not np.issubdtype(coloring.dtype, np.integer):
-        raise ValueError(f"coloring must be an integer array, got dtype {coloring.dtype}")
+    coloring = _labels("coloring", coloring, (graph.n,))
     if graph.edge_count == 0:
         return 1.0
     good = np.count_nonzero(coloring[graph.ei] != coloring[graph.ej])
@@ -57,24 +64,28 @@ def cut_accuracy(graph: Graph, partition, baseline_cut: float) -> float:
     At most 1.0 against an "exact" or "upper-bound" baseline, and exactly
     1.0 at a maximum cut: all sum in one edge order (Graph.cut_sums). Can
     exceed 1.0 when the baseline is merely best-known; reported as-is.
+    The partition is checked as cut_value checks it, edgeless graph included.
     """
+    cut = cut_value(graph, partition)
     if graph.edge_count == 0:
         return 1.0  # any partition of an edgeless graph is optimal
     if not baseline_cut > 0:  # NaN is not positive either
         raise ValueError("baseline cut must be positive")
-    return cut_value(graph, partition) / baseline_cut
+    return cut / baseline_cut
 
 
 def hamming(c1, c2) -> int:
-    """Number of positions where the two colorings differ."""
-    c2 = shaped("c2", c2, np.shape(c1))
+    """Number of positions where the two integer colorings differ."""
+    c1 = _labels("c1", c1, np.shape(c1))
+    c2 = _labels("c2", c2, c1.shape)
     return int(np.count_nonzero(c1 != c2))
 
 
 def hamming_min_rotation(c1, c2, k: int) -> int:
     """Hamming distance minimized over the k cyclic color rotations of c2."""
     count("k", k, 1)
-    c2 = np.asarray(c2)
+    # checked before the rotation, which would turn bool labels into integers
+    c2 = _labels("c2", c2, np.shape(c1))
     return min(hamming(c1, (c2 + r) % k) for r in range(k))
 
 

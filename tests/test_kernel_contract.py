@@ -612,8 +612,8 @@ class TestLineAlignment:
         assert picked_layout(phases, graph, gate, shil) == want
         seen = self.window_arrays(phases, graph, gate, shil)
         assert seen[0][0] == "_lattice_coupling half phases"
-        # 3 steps, each with one coupling sine and one lock sine
-        assert sum(name == "t" for name, _ in seen) == 6
+        # 3 steps, each with one sine for the coupling and lock terms together
+        assert sum(name == "t" for name, _ in seen) == 3
         for name, array in seen:
             assert isinstance(array, np.ndarray) and array.dtype == np.float64, name
             assert line_offsets(array) == (0, 0), name
@@ -635,3 +635,71 @@ class TestLineAlignment:
             filled[0] = -1.0
             assert np.array_equal(filled[1:], values[1:])
         assert np.all(dynamics._line_aligned(shape, 0.0) == 0.0)
+
+
+class TestOneSinePerStep:
+    """Each step runs one sine for the coupling and lock terms together; a
+    lock-only window and a lock term of -0.0 keep the full-angle loop's bits."""
+
+    @pytest.mark.parametrize("source", ["rngs", "xi"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("side", [4, 19])
+    def test_lock_only_window(self, side, batch, source):
+        # no gated edge: the drift is the compacted closure's with zero edges
+        graph = kings_graph(side)
+        rng = np.random.default_rng(side * batch)
+        phases = rng.uniform(0.0, TWO_PI, (batch, graph.n))
+        shil = ShilConfig(rng.random((batch, graph.n)) < 0.7,
+                          rng.choice([0.0, math.pi / 2, math.pi / 4], (batch, graph.n)))
+        assert shil.enabled.any() and not shil.enabled.all()
+        args = (phases, 37, graph, CouplingGate.all_off(graph), shil, DynamicsParams(), source, 5)
+        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("side,batch,layout", [(4, 1, "compacted"), (4, 3, "compacted"),
+                                                   (32, 1, "lattice"), (19, 3, "lattice")])
+    def test_phases_on_select(self, side, batch, layout, noise):
+        # where theta == select, (h + h) - select is +0.0 and the lock term
+        # is -dt * locking * 0 / 1 = -0.0
+        graph = kings_graph(side)
+        rng = np.random.default_rng(side + batch)
+        select = rng.choice([0.0, math.pi / 2, math.pi / 4], (batch, graph.n))
+        enabled = rng.random((batch, graph.n)) < 0.8
+        on = rng.random((batch, graph.n)) < 0.5
+        phases = np.where(on, select, rng.uniform(0.0, TWO_PI, (batch, graph.n)))
+        lock = half_angle_sine(phases - select, -1.0)[on & enabled]
+        assert len(lock) and np.all(lock == 0.0) and np.all(np.signbit(lock))
+        gate = scheduler.gate_couplings(graph, np.zeros((batch, graph.n), dtype=np.int64))
+        shil = ShilConfig(enabled, select)
+        assert picked_layout(phases, graph, gate, shil) == layout
+        params = DynamicsParams(noise=noise)
+        args = (phases, 20, graph, gate, shil, params, "xi", 13)
+        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
+
+    @pytest.mark.parametrize("edges", [0, 1, 7, 8, 9, 20])
+    def test_compacted_lock_slots_start_on_a_line(self, edges, monkeypatch):
+        rng = np.random.default_rng(edges)
+        size = 11
+        half = dynamics._line_aligned((size,), rng.uniform(0.0, math.pi, size))
+        ei, ej = np.sort(rng.integers(0, size, (2, edges)), axis=0)
+        edge_w = rng.uniform(-0.01, 0.01, edges)
+        lock_w = np.where(rng.random(size) < 0.7, -0.025, 0.0)
+        select = dynamics._line_aligned((size,), rng.choice([0.0, math.pi / 2], size))
+        want = (dynamics._compacted_coupling(half, ei, ej, edge_w)()
+                + half_angle_sine((half + half) - select, lock_w))
+        seen, sine = [], dynamics._half_angle_sine_into
+
+        def spy(angles, scale, t, denom):
+            seen.append((angles, scale, t, denom))
+            return sine(angles, scale, t, denom)
+
+        monkeypatch.setattr(dynamics, "_half_angle_sine_into", spy)
+        got = dynamics._compacted_coupling(half, ei, ej, edge_w, (lock_w, select))()
+        assert len(seen) == 1
+        angles, scale, t, denom = seen[0]
+        assert angles is t and len(t) == -(-edges // 8) * 8 + size
+        # the edge slots, then the lock slots, which the drift is written into
+        for array in (t, scale, denom, t[len(t) - size:], scale[len(t) - size:], got):
+            assert line_offsets(array) == (0, 0)
+        assert got.ctypes.data == t[len(t) - size:].ctypes.data
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

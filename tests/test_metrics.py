@@ -119,6 +119,13 @@ class TestCutAccuracy:
     def test_edgeless_is_one(self):
         assert cut_accuracy(Graph(3, []), [0, 0, 1], 0.0) == 1.0
 
+    def test_edgeless_graph_still_checks_the_partition(self):
+        # the edgeless shortcut used to return 1.0 before any check ran
+        with pytest.raises(ValueError, match=re.escape("partition has shape (1,), need (3,)")):
+            cut_accuracy(Graph(3, []), [0], 0.0)
+        with pytest.raises(ValueError, match="partition must hold only the labels 0 and 1"):
+            cut_accuracy(Graph(3, []), [7, 8, 9], 0.0)
+
     @pytest.mark.parametrize("partition", [[0, 1, 2], [0, 1, -1], [0.0, np.nan, 1.0]])
     def test_rejects_labels_other_than_0_and_1(self, partition):
         # [0, 1, 2] cuts all three edges and used to score 1.5 against the exact 2
@@ -270,6 +277,15 @@ class TestHamming:
 
     def test_rotation_accepts_a_numpy_integer(self):
         assert hamming_min_rotation([0, 1], [1, 0], np.int64(2)) == 0
+
+    @pytest.mark.parametrize("bad", [[np.nan], [0.0], [True]], ids=["nan", "float", "bool"])
+    def test_rejects_a_coloring_that_is_not_integer(self, bad):
+        # hamming([nan], [nan]) used to return 1: NaN differs from itself
+        for c1, c2, name in ((bad, [0], "c1"), ([0], bad, "c2"), (bad, bad, "c[12]")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer array, got dtype"):
+                hamming(c1, c2)
+            with pytest.raises(ValueError, match=f"{name} must be an integer array, got dtype"):
+                hamming_min_rotation(c1, c2, 2)
 
 
 class TestAggregate:

@@ -62,9 +62,9 @@ def closure_times(side: int, batch: int, calls: int = 200, repeat: int = 3) -> l
                   DynamicsParams(noise=0.0))
     finally:
         dynamics._lattice_coupling = lattice
-    half, ei, offset, edge_w = built[0]
-    closures = (("lattice", lattice(half, ei, offset, edge_w)),
-                ("compacted", dynamics._compacted_coupling(half, ei, ei + offset, edge_w)))
+    half, ei, offset, edge_w, lock = built[0]
+    closures = (("lattice", lattice(half, ei, offset, edge_w, lock)),
+                ("compacted", dynamics._compacted_coupling(half, ei, ei + offset, edge_w, lock)))
     rows = []
     for layout, coupling in closures:
         per_call = None
