@@ -111,7 +111,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .validate import count, real, shaped
+from .validate import broadcast, count, finite, real, shaped
 
 __all__ = [
     "PhaseState",
@@ -245,7 +245,10 @@ class ShilConfig:
 
     @classmethod
     def uniform(cls, n: int, phi: float) -> "ShilConfig":
-        return cls(np.ones(n, dtype=bool), np.full(n, float(phi)))
+        count("n", n, 0)
+        phi = float(phi)
+        finite("phi", phi)
+        return cls(np.ones(n, dtype=bool), np.full(n, phi))
 
 
 @dataclass(frozen=True)
@@ -312,16 +315,6 @@ def random_init(n: int, rng: np.random.Generator) -> PhaseState:
     """Phases drawn independently and uniformly from [0, 2*pi), time 0."""
     count("n", n, 1)
     return PhaseState(rng.uniform(0.0, TWO_PI, size=n), time=0.0)
-
-
-def _broadcast(name: str, array, shape: tuple) -> np.ndarray:
-    """array broadcast to shape, or a ValueError that names it."""
-    try:
-        return np.broadcast_to(array, shape)
-    except ValueError:
-        raise ValueError(
-            f"{name} has shape {np.shape(array)}, which does not broadcast to {shape}"
-        ) from None
 
 
 def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w: np.ndarray,
@@ -460,17 +453,14 @@ def integrate(
     shaped("phases", phases, (len(phases), graph.n))
     count("n_steps", n_steps, 0)
     batch, n = phases.shape
-    active = _broadcast("gate.active", gate.active, (batch, graph.edge_count))
-    enabled = _broadcast("shil.enabled", shil.enabled, (batch, n))
-    select = _broadcast("shil.select", shil.select, (batch, n))
-    if xi is not None:
-        xi = shaped("xi", xi, (batch, n_steps, n))
+    active = broadcast("gate.active", gate.active, (batch, graph.edge_count))
+    enabled = broadcast("shil.enabled", shil.enabled, (batch, n))
+    select = broadcast("shil.select", shil.select, (batch, n))
     # a NaN or inf would spread through every sum it enters; in the lattice
     # layout that includes the empty slots between two iterations' rows
-    if not np.isfinite(phases).all():
-        raise ValueError("phases must be finite, got NaN or inf")
-    if xi is not None and not np.isfinite(xi).all():
-        raise ValueError("xi must be finite, got NaN or inf")
+    finite("phases", phases)
+    if xi is not None:
+        xi = finite("xi", shaped("xi", xi, (batch, n_steps, n)))
     iteration, edge = np.nonzero(active)
     # dt times each strength, folded in once; these weights step the half
     # phases, so they are half of theta's. The lock weight is negative
@@ -479,9 +469,8 @@ def integrate(
     size = batch * n
     lock = None
     if params.locking > 0.0 and enabled.any():
-        select = _line_aligned((size,), np.where(enabled, select, 0.0).reshape(-1))
-        if not np.isfinite(select).all():
-            raise ValueError("shil.select must be finite where injection is on, got NaN or inf")
+        select = finite("shil.select", np.where(enabled, select, 0.0))
+        select = _line_aligned((size,), select.reshape(-1))
         lock = (np.where(enabled, -params.dt * params.locking, 0.0).reshape(-1), select)
     # step-major noise: row j holds step j's noise for all B * n phases
     noise_buf, block = None, max(n_steps, 1)

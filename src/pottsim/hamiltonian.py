@@ -8,6 +8,9 @@ floats. Spin conventions:
   * Phase states are real angles; two-phase states use {0, pi}.
   * One-hot assignments are n x N matrices of {0, 1}; rows need not be
     one-hot (the uncolored penalty term charges for violations).
+
+A NaN or inf in a real-valued argument, or Potts spins that are not an
+integer array, raise a ValueError that names the argument.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .validate import shaped
+from .validate import finite, integers, shaped
 
 __all__ = [
     "ising_energy",
@@ -35,7 +38,7 @@ def spins_to_sigma(values) -> np.ndarray:
 
 def ising_energy(graph: Graph, sigma) -> float:
     """Sum of J_ij * sigma_i * sigma_j over edges, sigma in {-1, +1}."""
-    sigma = shaped("sigma", sigma, (graph.n,))
+    sigma = finite("sigma", shaped("sigma", sigma, (graph.n,)))
     return float(np.sum(graph.w * sigma[graph.ei] * sigma[graph.ej]))
 
 
@@ -44,13 +47,13 @@ def phase_energy(graph: Graph, phases) -> float:
 
     Serves both the two-phase Ising case and the N-phase vector-Potts case.
     """
-    phases = shaped("phases", phases, (graph.n,))
+    phases = finite("phases", shaped("phases", phases, (graph.n,)))
     return float(np.sum(graph.w * np.cos(phases[graph.ei] - phases[graph.ej])))
 
 
 def potts_energy(graph: Graph, spins) -> float:
     """Sum of J_ij over monochromatic edges (Kronecker-delta interaction)."""
-    spins = shaped("spins", spins, (graph.n,))
+    spins = integers("spins", spins, (graph.n,))
     return float(np.sum(graph.w * (spins[graph.ei] == spins[graph.ej])))
 
 
@@ -63,7 +66,7 @@ def ising_coloring_energy(graph: Graph, onehot, scale: float = 1.0) -> float:
     holding the same color bit. Both terms share one scale factor; edge
     weights do not enter the conflict term.
     """
-    bits = np.asarray(onehot, dtype=np.float64)
+    bits = finite("onehot", np.asarray(onehot, dtype=np.float64))
     shaped("onehot", bits, (graph.n, bits.shape[-1] if bits.ndim else 1))  # any N colors
     uncolored = np.sum((1.0 - bits.sum(axis=1)) ** 2)
     conflicts = np.sum(bits[graph.ei] * bits[graph.ej])
@@ -78,12 +81,13 @@ def lyapunov_energy(graph: Graph, phases, gate, shil, params) -> float:
 
     The injection term has minima exactly at phi_i and phi_i + pi.
     """
-    phases = shaped("phases", phases, (graph.n,))
+    phases = finite("phases", shaped("phases", phases, (graph.n,)))
     active = shaped("gate.active", gate.active, (graph.edge_count,)).astype(bool)
     coupling = np.sum(
         graph.w[active] * np.cos(phases[graph.ei[active]] - phases[graph.ej[active]])
     )
     enabled = shaped("shil.enabled", shil.enabled, (graph.n,)).astype(bool)
     phi = shaped("shil.select", shil.select, (graph.n,)).astype(np.float64)
-    locking = np.sum(np.cos(2.0 * (phases[enabled] - phi[enabled])))
+    phi = finite("shil.select", phi[enabled])  # read only where injection is on
+    locking = np.sum(np.cos(2.0 * (phases[enabled] - phi)))
     return float(params.coupling * coupling - 0.5 * params.locking * locking)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Graph
 from .oracle import cut_baseline_kind
-from .validate import count, is_integer, shaped
+from .validate import count, integers, is_integer, real, shaped
 
 __all__ = [
     "SolveResult",
@@ -32,18 +32,9 @@ __all__ = [
 ]
 
 
-def _labels(name: str, labels, need: tuple) -> np.ndarray:
-    """shaped(name, labels, need), or a ValueError unless it holds integers
-    (bool, float and NaN labels fail)."""
-    labels = shaped(name, labels, need)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"{name} must be an integer array, got dtype {labels.dtype}")
-    return labels
-
-
 def coloring_accuracy(graph: Graph, coloring) -> float:
     """Fraction of edges with differently colored endpoints; 1.0 if no edges."""
-    coloring = _labels("coloring", coloring, (graph.n,))
+    coloring = integers("coloring", coloring, (graph.n,))
     if graph.edge_count == 0:
         return 1.0
     good = np.count_nonzero(coloring[graph.ei] != coloring[graph.ej])
@@ -69,15 +60,14 @@ def cut_accuracy(graph: Graph, partition, baseline_cut: float) -> float:
     cut = cut_value(graph, partition)
     if graph.edge_count == 0:
         return 1.0  # any partition of an edgeless graph is optimal
-    if not baseline_cut > 0:  # NaN is not positive either
-        raise ValueError("baseline cut must be positive")
+    real("baseline cut", baseline_cut, positive=True, finite=False)
     return cut / baseline_cut
 
 
 def hamming(c1, c2) -> int:
     """Number of positions where the two integer colorings differ."""
-    c1 = _labels("c1", c1, np.shape(c1))
-    c2 = _labels("c2", c2, c1.shape)
+    c1 = integers("c1", c1, np.shape(c1))
+    c2 = integers("c2", c2, c1.shape)
     return int(np.count_nonzero(c1 != c2))
 
 
@@ -85,7 +75,7 @@ def hamming_min_rotation(c1, c2, k: int) -> int:
     """Hamming distance minimized over the k cyclic color rotations of c2."""
     count("k", k, 1)
     # checked before the rotation, which would turn bool labels into integers
-    c2 = _labels("c2", c2, np.shape(c1))
+    c2 = integers("c2", c2, np.shape(c1))
     return min(hamming(c1, (c2 + r) % k) for r in range(k))
 
 

@@ -35,7 +35,7 @@ from .graph import Graph
 from .metrics import SolveResult, coloring_accuracy, cut_accuracy
 from .oracle import cut_baseline
 from .seeds import rng_for
-from .validate import count, real, shaped
+from .validate import count, finite, real, shaped
 
 __all__ = [
     "StagePlan",
@@ -116,9 +116,7 @@ def quantize_phase(theta: float, k: int) -> int:
 def quantize_phases(thetas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized quantize_phase over a finite phase array of any shape."""
     count("k", k, 2)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if not np.isfinite(thetas).all():
-        raise ValueError("phases must be finite, got NaN or inf")
+    thetas = finite("phases", np.asarray(thetas, dtype=np.float64))
     targets = TWO_PI * np.arange(k) / k
     diff = wrap_phases(thetas)[..., None] - targets
     dist = np.abs(np.mod(diff + math.pi, TWO_PI) - math.pi)
@@ -205,9 +203,8 @@ def solve_batch(
 
     t0 = _time.perf_counter()
     baseline_cut = cut_baseline(graph)[0]
-    if graph.edge_count and not baseline_cut > 0:  # NaN is not positive either
-        # fail before integrating: no cut accuracy exists against it
-        raise ValueError("baseline cut must be positive")
+    if graph.edge_count:  # fail before integrating: no cut accuracy exists against it
+        real("baseline cut", baseline_cut, positive=True, finite=False)
     rngs = [rng_for(seed) for seed in seeds]
     relax_params = replace(params, noise=plan.sigma_relax)
     gate_off = CouplingGate.all_off(graph)

@@ -1,12 +1,14 @@
 """Argument checks shared by every module: each failure raises a ValueError
-that names the argument; shaped returns np.asarray(value), the rest nothing."""
+that names the argument. count and real return nothing; the array checks
+return the array: shaped, finite and integers np.asarray(value), broadcast
+the broadcast view."""
 
 import math
 import numbers
 
 import numpy as np
 
-__all__ = ["is_integer", "is_real", "count", "real", "shaped"]
+__all__ = ["is_integer", "is_real", "count", "real", "shaped", "finite", "broadcast", "integers"]
 
 
 def is_integer(kind: type) -> bool:
@@ -42,4 +44,32 @@ def shaped(name: str, value, need: tuple) -> np.ndarray:
         need = array.shape[:max(array.ndim + 1 - len(need), 0)] + need[1:]
     if array.shape != need:
         raise ValueError(f"{name} has shape {array.shape}, need {text}")
+    return array
+
+
+def finite(name: str, value) -> np.ndarray:
+    """np.asarray(value), or a ValueError if it holds a NaN or an infinity."""
+    array = np.asarray(value)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got NaN or inf")
+    return array
+
+
+def broadcast(name: str, value, shape: tuple) -> np.ndarray:
+    """value broadcast to shape (a read-only view), or a ValueError."""
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise ValueError(
+            f"{name} has shape {np.shape(value)}, which does not broadcast to {shape}"
+        ) from None
+
+
+def integers(name: str, value, need: tuple) -> np.ndarray:
+    """shaped(name, value, need), or a ValueError unless it holds integers:
+    bool, float and NaN labels fail, and an empty array passes whatever its
+    dtype, since np.asarray([]) is float64."""
+    array = shaped(name, value, need)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"{name} must be an integer array, got dtype {array.dtype}")
     return array

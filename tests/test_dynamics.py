@@ -361,7 +361,9 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("value", BAD, ids=repr)
     def test_step_and_evolve_reject_select(self, value):
-        gate, shil = CouplingGate.all_on(K3), ShilConfig.uniform(K3.n, value)
+        # built by hand: ShilConfig.uniform rejects a non-finite phi itself
+        gate = CouplingGate.all_on(K3)
+        shil = ShilConfig(np.ones(K3.n, dtype=bool), np.full(K3.n, value))
         state = PhaseState(np.full(K3.n, 1.0))
         with pytest.raises(ValueError, match="shil.select must be finite"):
             step(state, K3, gate, shil, DynamicsParams(), rng_for(0))
@@ -383,7 +385,8 @@ class TestNonFiniteInputs:
         phases = np.linspace(0.0, 6.0, K3.n)
         gate = CouplingGate.all_on(K3)
         want, _ = integrate(phases, 4, K3, gate, ShilConfig.uniform(K3.n, 0.0), params)
-        got, _ = integrate(phases, 4, K3, gate, ShilConfig.uniform(K3.n, value), params)
+        bad = ShilConfig(np.ones(K3.n, dtype=bool), np.full(K3.n, value))
+        got, _ = integrate(phases, 4, K3, gate, bad, params)
         assert np.array_equal(got, want)
 
     def test_lattice_window_rejects_phases(self):
@@ -468,6 +471,26 @@ class TestShilConfigOff:
         with pytest.raises(ValueError, match=re.escape(
                 f"n must be an integer >= 0 (not bool), got {n!r}")):
             ShilConfig.off(n)
+
+
+class TestShilConfigUniform:
+    @pytest.mark.parametrize("n", [0, 3, np.int64(3)], ids=repr)
+    def test_all_on(self, n):
+        shil = ShilConfig.uniform(n, math.pi / 2)
+        assert shil.enabled.all() and np.array_equal(shil.select, np.full(n, math.pi / 2))
+
+    @pytest.mark.parametrize("n", [2.5, True, -1, "3"], ids=repr)
+    def test_rejects_a_node_count_that_is_not_a_nonnegative_integer(self, n):
+        # 2.5 and True used to raise numpy's bare TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"n must be an integer >= 0 (not bool), got {n!r}")):
+            ShilConfig.uniform(n, 0.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_rejects_a_lock_phase_that_is_not_finite(self, phi):
+        # a NaN select used to fail only later, inside integrate
+        with pytest.raises(ValueError, match="phi must be finite, got NaN or inf"):
+            ShilConfig.uniform(3, phi)
 
 
 class TestParams:

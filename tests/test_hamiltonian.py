@@ -205,3 +205,51 @@ class TestArrayShapes:
         shil = ShilConfig(args["shil.enabled"], args["shil.select"])
         with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}, need (3,)")):
             lyapunov_energy(TRIANGLE, args["phases"], gate, shil, DynamicsParams())
+
+
+class TestBadValues:
+    """A NaN or inf fails by name instead of giving a NaN energy, and Potts
+    spins must be integers: on kings 2 with one NaN, phase_energy and
+    ising_energy used to return nan and potts_energy 0.0."""
+
+    K2 = kings_graph(2)
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    @pytest.mark.parametrize("energy,name", [(ising_energy, "sigma"), (phase_energy, "phases")])
+    def test_node_energies(self, energy, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got NaN or inf"):
+            energy(self.K2, [1.0, -1.0, 1.0, value])
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_one_hot(self, value):
+        with pytest.raises(ValueError, match="onehot must be finite, got NaN or inf"):
+            ising_coloring_energy(EDGE, [[1, 0], [0, value]])
+
+    @pytest.mark.parametrize("spins", [[0, 1, 2, math.nan], [0.0, 1.0, 2.0, 3.0],
+                                       [True, False, True, False]], ids=["nan", "float", "bool"])
+    def test_potts_spins_must_be_integers(self, spins):
+        with pytest.raises(ValueError, match="spins must be an integer array, got dtype"):
+            potts_energy(self.K2, spins)
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_lyapunov_phases(self, value):
+        # an inf phase used to give nan after a RuntimeWarning
+        with pytest.raises(ValueError, match="phases must be finite, got NaN or inf"):
+            lyapunov_energy(self.K2, [0.0, 1.0, 2.0, value], CouplingGate.all_on(self.K2),
+                            ShilConfig.off(4), DynamicsParams())
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_lyapunov_select_where_injection_is_on(self, value):
+        shil = ShilConfig(np.ones(4, dtype=bool), np.array([0.0, 0.0, value, 0.0]))
+        with pytest.raises(ValueError, match="shil.select must be finite, got NaN or inf"):
+            lyapunov_energy(self.K2, [0.0, 1.0, 2.0, 3.0], CouplingGate.all_on(self.K2), shil,
+                            DynamicsParams())
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_lyapunov_select_inert_where_injection_is_off(self, value):
+        enabled = np.array([True, True, False, True])
+        phases, gate, params = [0.0, 1.0, 2.0, 3.0], CouplingGate.all_on(self.K2), DynamicsParams()
+        want = lyapunov_energy(self.K2, phases, gate, ShilConfig(enabled, np.zeros(4)), params)
+        bad = ShilConfig(enabled, np.array([0.0, 0.0, value, 0.0]))
+        assert lyapunov_energy(self.K2, phases, gate, bad, params) == want

@@ -79,6 +79,10 @@ class TestColoringAccuracy:
         with pytest.raises(ValueError, match="coloring must be an integer array"):
             coloring_accuracy(kings_graph(3), coloring)
 
+    def test_empty_list_coloring(self):
+        # np.asarray([]) is float64; an empty coloring holds no non-integer label
+        assert coloring_accuracy(Graph(0, []), []) == 1.0
+
     def test_one_iff_zero_potts_energy(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
@@ -286,6 +290,11 @@ class TestHamming:
                 hamming(c1, c2)
             with pytest.raises(ValueError, match=f"{name} must be an integer array, got dtype"):
                 hamming_min_rotation(c1, c2, 2)
+
+
+    def test_empty_list_colorings(self):
+        assert hamming([], []) == 0
+        assert hamming_min_rotation([], [], 4) == 0
 
 
 class TestAggregate:

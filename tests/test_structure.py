@@ -229,3 +229,48 @@ def test_only_the_validate_module_compares_shapes():
         and any(map(shape_like, [node.left, *node.comparators]))
     })
     assert comparers == ["validate"]
+
+
+# the messages of validate.finite, validate.broadcast and validate.integers
+VALIDATE_MESSAGES = ("must be finite", "does not broadcast", "must be an integer array")
+
+
+def value_error_texts(tree):
+    """(line, literal text) of each ValueError raised with a message, in line
+    order; an f-string's text is its literal parts joined."""
+    found = []
+    for node in ast.walk(tree):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                and exc.func.id == "ValueError" and exc.args):
+            continue
+        message = exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        found.append((node.lineno, "".join(
+            part.value for part in parts
+            if isinstance(part, ast.Constant) and isinstance(part.value, str))))
+    return sorted(found)
+
+
+def test_only_the_validate_module_checks_finiteness_broadcasting_and_integer_labels():
+    """Finiteness, broadcasting and integer labels are checked by
+    validate.finite, validate.broadcast and validate.integers; a module that
+    raises one of their messages is writing its own check."""
+    raisers = sorted({
+        module
+        for module, tree in parsed_modules()
+        for _, text in value_error_texts(tree)
+        if any(phrase in text for phrase in VALIDATE_MESSAGES)
+    })
+    assert raisers == ["validate"]
+
+
+def test_value_error_texts_sees_plain_and_formatted_messages():
+    source = """
+def check(xi, name):
+    if bad(xi):
+        raise ValueError("xi must be finite, got NaN or inf")
+    raise ValueError(f"{name} must be an integer array, got dtype {xi.dtype}")
+"""
+    assert value_error_texts(ast.parse(source)) == [
+        (4, "xi must be finite, got NaN or inf"), (5, " must be an integer array, got dtype ")]

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pottsim.validate import count, is_integer, is_real, real, shaped
+from pottsim.validate import (broadcast, count, finite, integers, is_integer, is_real,
+                              real, shaped)
 
 
 class TestCount:
@@ -112,3 +113,52 @@ class TestShaped:
         assert shaped("x", np.zeros((5, 2, 3)), (..., 2, 3)).shape == (5, 2, 3)
         with pytest.raises(ValueError, match=re.escape("x has shape (3,), need (..., 2, 3)")):
             shaped("x", np.zeros(3), (..., 2, 3))
+
+
+class TestFinite:
+    @pytest.mark.parametrize("value", [[0.0, 1e308], np.zeros((2, 3)), 2.5, [1, 2], [True], []],
+                             ids=repr)
+    def test_returns_a_finite_array(self, value):
+        assert np.array_equal(finite("x", value), np.asarray(value))
+
+    def test_returns_the_array_itself(self):
+        array = np.zeros(3)
+        assert finite("x", array) is array
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_rejects_nan_and_inf(self, bad):
+        with pytest.raises(ValueError, match=re.escape("xi must be finite, got NaN or inf")):
+            finite("xi", [[0.0, 1.0], [bad, 2.0]])
+
+
+class TestBroadcast:
+    def test_broadcasts_a_row(self):
+        view = broadcast("gate.active", [True, False], (3, 2))
+        assert view.shape == (3, 2) and not view.flags.writeable
+
+    def test_rejects_what_does_not_broadcast(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "shil.select has shape (3,), which does not broadcast to (2, 4)")):
+            broadcast("shil.select", np.zeros(3), (2, 4))
+
+
+class TestIntegers:
+    @pytest.mark.parametrize("value", [[0, 3], np.array([1, 2], dtype=np.uint8),
+                                       np.int32([-1, 5])], ids=repr)
+    def test_accepts_integers(self, value):
+        assert integers("c", value, (2,)).tolist() == np.asarray(value).tolist()
+
+    @pytest.mark.parametrize("value", [[], np.zeros(0, dtype=bool), np.zeros((0, 3))], ids=repr)
+    def test_accepts_an_empty_array_of_any_dtype(self, value):
+        assert integers("c", value, np.shape(value)).size == 0
+
+    @pytest.mark.parametrize("value", [[0.0, 1.0], [0, math.nan], [True, False]],
+                             ids=["float", "nan", "bool"])
+    def test_rejects_a_nonempty_array_that_is_not_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"c must be an integer array, got dtype {np.asarray(value).dtype}")):
+            integers("c", value, (2,))
+
+    def test_checks_the_shape_first(self):
+        with pytest.raises(ValueError, match=re.escape("c has shape (3,), need (2,)")):
+            integers("c", [0.5, 1.5, 2.5], (2,))
