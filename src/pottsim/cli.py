@@ -118,6 +118,12 @@ def run_batch(graph, config: RunConfig, on_window=None) -> tuple[list[SolveResul
     return results, aggregate(results, graph)
 
 
+def _config(args) -> RunConfig:
+    """RunConfig from args.config, overridden by every config key args holds."""
+    return RunConfig.from_sources(
+        args.config, **{k: v for k, v in vars(args).items() if k in RunConfig.CONFIG_KEYS})
+
+
 def _write_results(outdir: str, results, stats) -> None:
     os.makedirs(outdir, exist_ok=True)
     for i, res in enumerate(results):
@@ -137,12 +143,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     graph = load_graph(args.graph)
-    config = RunConfig.from_sources(
-        args.config,
-        coupling=args.coupling, locking=args.locking,
-        noise=args.noise, dt=args.dt,
-        iterations=args.iters, seed=args.seed, colors=args.colors,
-    )
+    config = _config(args)
     t0 = time.perf_counter()
     results, stats = run_batch(graph, config)
     elapsed = time.perf_counter() - t0
@@ -174,9 +175,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = RunConfig.from_sources(
-        args.config, iterations=args.iters, seed=args.seed, colors=args.colors,
-    )
+    config = _config(args)
     lines = ["size,search_space,iterations,best_accuracy,mean_accuracy,wall_time_s"]
     for side in sorted(args.sides):
         graph = kings_graph(side)
@@ -226,8 +225,7 @@ def cmd_stats(args) -> int:
     if mismatches:
         raise ValueError("\n".join(mismatches))
     stats = aggregate(results, graph)
-    stats.to_json(os.path.join(args.results_dir, "stats.json"))
-    stats.to_csv(os.path.join(args.results_dir, "stats.csv"))
+    _write_results(args.results_dir, [], stats)  # the result files stay as they are
     print(
         f"{len(results)} results: best accuracy {stats.best_accuracy:.4f}, "
         f"mean {stats.mean_accuracy:.4f}, "
@@ -244,7 +242,10 @@ def _positive_int(value: str) -> int:
 
 
 def _side_list(value: str) -> list[int]:
-    return [_positive_int(part) for part in value.split(",") if part]
+    sides = [_positive_int(part) for part in value.split(",") if part]
+    if not sides:
+        raise argparse.ArgumentTypeError(f"expected at least one side, got {value!r}")
+    return sides
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,6 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase-dynamics Potts machine: staged max-cut graph coloring",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    batch = argparse.ArgumentParser(add_help=False)  # the flags solve and bench share
+    batch.add_argument("--colors", type=int, choices=COLOR_CHOICES)
+    batch.add_argument("--iters", type=_positive_int, dest="iterations", metavar="ITERS")
+    batch.add_argument("--seed", type=int)
+    batch.add_argument("--config", help="key=value config file")
 
     p_gen = sub.add_parser("gen", help="generate a King's-graph instance")
     p_gen.add_argument("--kings", type=_positive_int, required=True, metavar="SIDE")
@@ -260,16 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--format", choices=tuple(FORMATS))
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="run a batch of staged solves")
+    p_solve = sub.add_parser("solve", help="run a batch of staged solves", parents=[batch])
     p_solve.add_argument("-g", "--graph", required=True)
-    p_solve.add_argument("--colors", type=int, choices=COLOR_CHOICES)
-    p_solve.add_argument("--iters", type=_positive_int, dest="iters")
-    p_solve.add_argument("--seed", type=int)
-    p_solve.add_argument("--config", help="key=value config file")
-    p_solve.add_argument("--coupling", type=float)
-    p_solve.add_argument("--locking", type=float)
-    p_solve.add_argument("--noise", type=float)
-    p_solve.add_argument("--dt", type=float)
+    for physics in fields(DynamicsParams):
+        p_solve.add_argument(f"--{physics.name}", type=float)
     p_solve.add_argument("-o", "--output-dir")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -279,12 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--time-budget", type=float, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_bench = sub.add_parser("bench", help="King's-graph benchmark sweep")
+    p_bench = sub.add_parser("bench", help="King's-graph benchmark sweep", parents=[batch])
     p_bench.add_argument("--sides", type=_side_list, required=True)
-    p_bench.add_argument("--iters", type=_positive_int, dest="iters")
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--colors", type=int, choices=COLOR_CHOICES)
-    p_bench.add_argument("--config")
     p_bench.add_argument("-o", "--output")
     p_bench.set_defaults(func=cmd_bench)
 

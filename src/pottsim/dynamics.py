@@ -61,20 +61,22 @@ the lock term together. The compacted layout gathers both endpoints of
 every gated edge and scatters the sines with np.bincount, which adds each
 node's terms in edge order from 0.0. Its one buffer holds the edge slots,
 padded to a whole cache line, then the B * n lock slots (h + h) - phi,
-which are added after the two bincounts; a lock-only window is this layout
-with no edge. The lattice layout groups the gated edges by their offset
-d = j - i in the flat half-phase array, one row per class of (K, B * n)
-slot arrays: slot (k, i) is the pair (i, i + d_k), weighted
-dt * coupling * w where a gated edge sits and 0 elsewhere, straddling slots
-included; a row's last d_k slots pair with nothing and hold +0.0. The lock
-term is row K. The source sums are one np.add.reduce(s[:K], axis=0,
+which are added after the two bincounts. The lattice layout groups the
+gated edges by their offset d = j - i in the flat half-phase array, one row
+per class of (K, B * n) slot arrays: slot (k, i) is the pair (i, i + d_k),
+weighted dt * coupling * w where a gated edge sits and 0 elsewhere,
+straddling slots included; a row's last d_k slots pair with nothing and hold
++0.0. The lock term is row K. The source sums are one np.add.reduce(s[:K], axis=0,
 initial=0.0), which adds whole rows one after another in increasing d from
 +0.0; the target sums add dst[d:] += s[k, :-d] in decreasing d, also from
 +0.0; the drift is src - dst, plus the lock row. Edges are sorted by
 (i, j), so a node's edges as source come in increasing d and as target in
 decreasing d: the order np.bincount adds them in. An empty slot adds
 t * 0 / (1 + t^2) = +-0, and so does a row's tail; adding +-0 leaves a sum
-that started at +0.0 unchanged, sign included. The lattice layout wins when
+that started at +0.0 unchanged, sign included. A lock-only window, with no
+gated edge, takes the same choice: the compacted drift is then lock + 0,
+since np.bincount of no index gives integer zeros, and the lattice drift
+(+0.0 - +0.0) + lock, the same bits. The lattice layout wins when
 the slices are dense and long; LATTICE_MIN_NODES and
 LATTICE_MAX_SLOTS_PER_EDGE say when. An empty slot between two iterations
 would carry a NaN from one row into the next (0 * tan(NaN) is NaN), which is
@@ -428,8 +430,9 @@ def integrate(
     wrapped into [0, 2*pi), and the clock, advanced by dt per step. The
     recorder samples row 0. A shape that does not fit, an n_steps that is
     not a nonnegative integer, a count of rngs other than B (with noise on
-    and no xi), or NaN or inf in phases, xi or, with locking on, an enabled
-    shil.select raise ValueError. With n = 0 only the clock moves.
+    and no xi), or NaN, inf or a non-real dtype in phases, xi or, with
+    locking on, an enabled shil.select raise ValueError. With n = 0 only the
+    clock moves.
 
     The phases are wrapped once per window, at its end: the drift is
     2*pi-periodic in every phase (both tangents have period pi in their
@@ -439,17 +442,17 @@ def integrate(
 
     Results are bit-identical to stepping each row on its own and to the
     full-angle loop (see the module docstring). Both edge layouts, chosen
-    once per window from the graph and gate (LATTICE_MIN_NODES), add each
-    node's torques in np.bincount's order for one row; the compacted one
-    lists the gated edges in (iteration, edge) order as flat indices. Each
-    layout's closure returns the whole drift, lock term included, from one
-    sine call, so a step is: record, add the drift, add the noise row,
-    advance the clock. Edge,
-    lock and noise scales are folded in once per window or noise block, the
-    same products as per step, and c * n normals from a generator equal c
-    draws of n, so the block size changes no draw.
+    once per window from the graph and gate (LATTICE_MIN_NODES) for every
+    window with a drift, lock-only ones included, add each node's torques
+    in np.bincount's order for one row; the compacted one lists the gated
+    edges in (iteration, edge) order as flat indices. Each layout's closure
+    returns the whole drift, lock term included, from one sine call, so a
+    step is: record, add the drift, add the noise row, advance the clock.
+    Edge, lock and noise scales are folded in once per window or noise
+    block, the same products as per step, and c * n normals from a
+    generator equal c draws of n, so the block size changes no draw.
     """
-    phases = np.array(phases, dtype=np.float64, ndmin=2)
+    phases = np.array(phases, ndmin=2)  # cast to float64 once found real and finite
     shaped("phases", phases, (len(phases), graph.n))
     count("n_steps", n_steps, 0)
     batch, n = phases.shape
@@ -458,7 +461,7 @@ def integrate(
     select = broadcast("shil.select", shil.select, (batch, n))
     # a NaN or inf would spread through every sum it enters; in the lattice
     # layout that includes the empty slots between two iterations' rows
-    finite("phases", phases)
+    phases = finite("phases", phases).astype(np.float64, copy=False)
     if xi is not None:
         xi = finite("xi", shaped("xi", xi, (batch, n_steps, n)))
     iteration, edge = np.nonzero(active)
@@ -485,12 +488,10 @@ def integrate(
     half = _line_aligned((size,), 0.5 * phases.reshape(-1))  # h = theta / 2, exact
     ei = graph.ei[edge] + n * iteration
     drift = None
-    if len(edge_w):
+    if len(edge_w) or lock is not None:
         offset = (graph.ej - graph.ei)[edge]
         drift = (_lattice_coupling(half, ei, offset, edge_w, lock)
                  or _compacted_coupling(half, ei, ei + offset, edge_w, lock))
-    elif lock is not None:  # a lock-only window: no edge to gather
-        drift = _compacted_coupling(half, ei, ei, edge_w, lock)
     for start in range(0, n_steps, block):
         c = min(block, n_steps - start)
         if noise_buf is not None:
@@ -516,6 +517,17 @@ def integrate(
     return phases, time
 
 
+def _single_row(state, n_steps, graph, gate, shil, params, rng, xi=None, recorder=None):
+    """integrate on the one row state.phases from state.time, after the
+    stability check; rng is its generator and xi one step's (n,) noise."""
+    params.check_stability(graph)
+    if xi is not None:
+        xi = np.asarray(xi)[None, None]
+    phases, t = integrate(state.phases, n_steps, graph, gate, shil, params,
+                          None if rng is None else [rng], xi, recorder, state.time)
+    return PhaseState(phases[0], time=t)
+
+
 def step(
     state: PhaseState,
     graph: Graph,
@@ -531,14 +543,7 @@ def step(
     (used by tests that need per-node noise streams). With noise == 0
     neither is consulted.
     """
-    params.check_stability(graph)
-    if xi is not None:
-        xi = np.asarray(xi, dtype=np.float64)[None, None]
-    phases, t = integrate(
-        state.phases, 1, graph, gate, shil, params,
-        rngs=None if rng is None else [rng], xi=xi, time=state.time,
-    )
-    return PhaseState(phases[0], time=t)
+    return _single_row(state, 1, graph, gate, shil, params, rng, xi=xi)
 
 
 def evolve(
@@ -553,12 +558,7 @@ def evolve(
 ) -> PhaseState:
     """Integrate for ceil(duration / dt) steps; deterministic given the seed."""
     n_steps = step_count(duration, params.dt)
-    params.check_stability(graph)
-    phases, t = integrate(
-        state.phases, n_steps, graph, gate, shil, params,
-        rngs=None if rng is None else [rng], recorder=recorder, time=state.time,
-    )
-    return PhaseState(phases[0], time=t)
+    return _single_row(state, n_steps, graph, gate, shil, params, rng, recorder=recorder)
 
 
 def step_count(duration: float, dt: float) -> int:

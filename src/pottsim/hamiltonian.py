@@ -9,8 +9,9 @@ floats. Spin conventions:
   * One-hot assignments are n x N matrices of {0, 1}; rows need not be
     one-hot (the uncolored penalty term charges for violations).
 
-A NaN or inf in a real-valued argument, or Potts spins that are not an
-integer array, raise a ValueError that names the argument.
+A real-valued argument that holds a NaN or inf or is not a real array
+(complex, string or object dtype), or Potts spins that are not an integer
+array, raise a ValueError that names the argument.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def ising_coloring_energy(graph: Graph, onehot, scale: float = 1.0) -> float:
     holding the same color bit. Both terms share one scale factor; edge
     weights do not enter the conflict term.
     """
-    bits = finite("onehot", np.asarray(onehot, dtype=np.float64))
+    bits = np.asarray(finite("onehot", onehot), dtype=np.float64)
     shaped("onehot", bits, (graph.n, bits.shape[-1] if bits.ndim else 1))  # any N colors
     uncolored = np.sum((1.0 - bits.sum(axis=1)) ** 2)
     conflicts = np.sum(bits[graph.ei] * bits[graph.ej])
@@ -87,7 +88,7 @@ def lyapunov_energy(graph: Graph, phases, gate, shil, params) -> float:
         graph.w[active] * np.cos(phases[graph.ei[active]] - phases[graph.ej[active]])
     )
     enabled = shaped("shil.enabled", shil.enabled, (graph.n,)).astype(bool)
-    phi = shaped("shil.select", shil.select, (graph.n,)).astype(np.float64)
-    phi = finite("shil.select", phi[enabled])  # read only where injection is on
+    phi = shaped("shil.select", shil.select, (graph.n,))
+    phi = finite("shil.select", phi[enabled]).astype(np.float64)  # read only where injection is on
     locking = np.sum(np.cos(2.0 * (phases[enabled] - phi)))
     return float(params.coupling * coupling - 0.5 * params.locking * locking)

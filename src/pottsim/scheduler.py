@@ -116,7 +116,7 @@ def quantize_phase(theta: float, k: int) -> int:
 def quantize_phases(thetas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized quantize_phase over a finite phase array of any shape."""
     count("k", k, 2)
-    thetas = finite("phases", np.asarray(thetas, dtype=np.float64))
+    thetas = np.asarray(finite("phases", thetas), dtype=np.float64)
     targets = TWO_PI * np.arange(k) / k
     diff = wrap_phases(thetas)[..., None] - targets
     dist = np.abs(np.mod(diff + math.pi, TWO_PI) - math.pi)

@@ -48,8 +48,11 @@ def shaped(name: str, value, need: tuple) -> np.ndarray:
 
 
 def finite(name: str, value) -> np.ndarray:
-    """np.asarray(value), or a ValueError if it holds a NaN or an infinity."""
+    """np.asarray(value), or a ValueError unless it is a real array, of
+    bool, integer or float dtype, that holds no NaN or infinity."""
     array = np.asarray(value)
+    if array.dtype.kind not in "biuf":  # complex, string, object, ...
+        raise ValueError(f"{name} must be a real array, got dtype {array.dtype}")
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite, got NaN or inf")
     return array

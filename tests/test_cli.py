@@ -160,6 +160,29 @@ class TestBench:
         assert lines[1].startswith("4,")
         assert lines[2].startswith("9,")
 
+    @pytest.mark.parametrize("sides", ["", ",,"])
+    def test_no_side_is_a_usage_error(self, sides, capsys):
+        # used to print the CSV header alone and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sides", sides, "--iters", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected at least one side, got {sides!r}" in captured.err
+
+
+@pytest.mark.parametrize("command,options", [
+    ("solve", "-h --help --colors --iters --seed --config -g --graph --coupling --locking "
+              "--noise --dt -o --output-dir"),
+    ("bench", "-h --help --colors --iters --seed --config --sides -o --output"),
+])
+def test_help_lists_the_options(command, options, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = capsys.readouterr().out.split("options:")[1]
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", listed)) == set(options.split())
+    assert "{2,4,8,16}" in listed
+
 
 class TestStats:
     def test_reaggregate(self, k4_path, tmp_path, capsys):

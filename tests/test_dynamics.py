@@ -331,6 +331,16 @@ class TestNonFiniteInputs:
             integrate(np.zeros((3, K3.n)), 5, K3, CouplingGate.all_on(K3),
                       ShilConfig.off(K3.n), DynamicsParams(), xi=xi)
 
+    @pytest.mark.parametrize("value", [1j, "a"], ids=["complex", "str"])
+    def test_phases_and_xi_must_be_real_arrays(self, value):
+        # complex phases used to be cut to their real part before the check
+        gate, shil = free_config(EDGE)
+        with pytest.raises(ValueError, match="phases must be a real array, got dtype"):
+            integrate([[0.5, value]], 5, EDGE, gate, shil, DynamicsParams(noise=0.0))
+        with pytest.raises(ValueError, match="xi must be a real array, got dtype"):
+            step(PhaseState(np.array([0.5, 1.0])), EDGE, gate, shil, DynamicsParams(),
+                 xi=[value, 0.0])
+
     @pytest.mark.parametrize("value", BAD, ids=repr)
     def test_step_rejects_phases_and_xi(self, value):
         gate, shil = free_config(EDGE)

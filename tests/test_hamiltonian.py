@@ -246,6 +246,23 @@ class TestBadValues:
             lyapunov_energy(self.K2, [0.0, 1.0, 2.0, 3.0], CouplingGate.all_on(self.K2), shil,
                             DynamicsParams())
 
+    @pytest.mark.parametrize("value", [1j, "a"], ids=["complex", "str"])
+    @pytest.mark.parametrize("energy,name", [
+        (phase_energy, "phases"),
+        (ising_energy, "sigma"),
+        (lambda g, row: ising_coloring_energy(g, [[bit] for bit in row]), "onehot"),
+        (lambda g, row: lyapunov_energy(g, row, CouplingGate.all_on(g), ShilConfig.off(4),
+                                        DynamicsParams()), "phases"),
+        (lambda g, row: lyapunov_energy(g, [0.0] * 4, CouplingGate.all_on(g),
+                                        ShilConfig(np.ones(4, dtype=bool), np.array(row)),
+                                        DynamicsParams()), "shil.select"),
+    ], ids=["phase", "ising", "one-hot", "lyapunov-phases", "lyapunov-select"])
+    def test_not_a_real_array(self, energy, name, value):
+        # a complex value used to be cut to its real part, with only a
+        # ComplexWarning; a string one gave numpy's bare TypeError
+        with pytest.raises(ValueError, match=f"{re.escape(name)} must be a real array, got dtype"):
+            energy(self.K2, [0.1, 0.2, 0.3, value])
+
     @pytest.mark.parametrize("value", BAD, ids=repr)
     def test_lyapunov_select_inert_where_injection_is_off(self, value):
         enabled = np.array([True, True, False, True])

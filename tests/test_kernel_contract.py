@@ -655,6 +655,24 @@ class TestOneSinePerStep:
         args = (phases, 37, graph, CouplingGate.all_off(graph), shil, DynamicsParams(), source, 5)
         assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
 
+    @pytest.mark.parametrize("source", ["rngs", "xi"])
+    @pytest.mark.parametrize("side,batch,layout", [(4, 3, "compacted"), (19, 3, "lattice")])
+    def test_lock_only_window_in_either_layout(self, side, batch, layout, source):
+        # no gated edge, so the lattice layout has no offset class: its drift
+        # is (+0.0 - +0.0) + lock where the compacted one's is lock + 0. Half
+        # the phases sit on their select, where the lock term is -0.0
+        graph = kings_graph(side)
+        assert (batch * graph.n >= dynamics.LATTICE_MIN_NODES) == (layout == "lattice")
+        rng = np.random.default_rng(side + batch)
+        select = rng.choice([0.0, math.pi / 2, math.pi / 4], (batch, graph.n))
+        on = rng.random((batch, graph.n)) < 0.5
+        phases = np.where(on, select, rng.uniform(0.0, TWO_PI, (batch, graph.n)))
+        gate = CouplingGate.all_off(graph)
+        shil = ShilConfig(rng.random((batch, graph.n)) < 0.7, select)
+        assert picked_layout(phases, graph, gate, shil) == layout
+        args = (phases, 37, graph, gate, shil, DynamicsParams(noise=0.05), source, 17)
+        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
+
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     @pytest.mark.parametrize("side,batch,layout", [(4, 1, "compacted"), (4, 3, "compacted"),
                                                    (32, 1, "lattice"), (19, 3, "lattice")])

@@ -69,6 +69,11 @@ class TestQuantizePhase:
         with pytest.raises(ValueError, match="phases must be finite, got NaN or inf"):
             read()
 
+    @pytest.mark.parametrize("value", [1j, "a"], ids=["complex", "str"])
+    def test_rejects_what_is_not_real(self, value):
+        with pytest.raises(ValueError, match="phases must be a real array, got dtype"):
+            quantize_phases([0.5, value], 4)
+
     def test_accepts_numpy_integer_levels(self):
         assert quantize_phases(np.array([0.0, math.pi]), np.int64(2)).tolist() == [0, 1]
 

@@ -1,10 +1,12 @@
 """Structure of the pottsim package, read from its source with ast.
 
 The package's modules must form an acyclic import graph, and no module may
-import a _private name from another pottsim module. A module's __all__ lists
-only names the module itself defines, not names it imports. Every import
-sits at module level, and every absolute one names a standard-library
-module or numpy, the one runtime dependency. No function calls itself:
+import a _private name from another pottsim module. The scripts under tools/
+keep to pottsim's public surface: they read no _private attribute of it and
+assign none of its attributes. A module's __all__ lists only names the
+module itself defines, not names it imports. Every import sits at module
+level, and every absolute one names a standard-library module or numpy, the
+one runtime dependency. No function calls itself:
 searches keep explicit stacks, so their depth is not bounded by the
 interpreter's recursion limit.
 """
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pottsim"
+TOOLS = PACKAGE.parents[1] / "tools"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -232,7 +235,8 @@ def test_only_the_validate_module_compares_shapes():
 
 
 # the messages of validate.finite, validate.broadcast and validate.integers
-VALIDATE_MESSAGES = ("must be finite", "does not broadcast", "must be an integer array")
+VALIDATE_MESSAGES = ("must be finite", "must be a real array", "does not broadcast",
+                     "must be an integer array")
 
 
 def value_error_texts(tree):
@@ -274,3 +278,62 @@ def check(xi, name):
 """
     assert value_error_texts(ast.parse(source)) == [
         (4, "xi must be finite, got NaN or inf"), (5, " must be an integer array, got dtype ")]
+
+
+def tool_reaches(tree):
+    """(line, attribute) for each _private name a script imports or reads from
+    a pottsim module, and each attribute it assigns or deletes on one,
+    directly or through setattr or delattr."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
+                        if alias.name.split(".")[0] == "pottsim"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pottsim":
+            modules |= {alias.asname or alias.name for alias in node.names}
+            found += [(node.lineno, alias.name) for alias in node.names if private(alias.name)]
+
+    def of_pottsim(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in modules
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and of_pottsim(node.value) and (
+                private(node.attr) or not isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and node.args and of_pottsim(node.args[0]):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in ("setattr", "delattr"):
+                found.append((node.lineno, callee))
+    return sorted(found)
+
+
+def test_tools_keep_to_the_public_surface():
+    """A tool that reads a private function of pottsim, or swaps one of its
+    attributes, runs pottsim as no caller does; the tests may, to spy on the
+    kernel."""
+    reaches = [(path.name, *reach) for path in sorted(TOOLS.glob("*.py"))
+               for reach in tool_reaches(ast.parse(path.read_text(), str(path)))]
+    assert {"dt_frontier.py", "window_times.py"} <= {path.name for path in TOOLS.glob("*.py")}
+    assert reaches == []
+
+
+def test_tool_reaches_sees_private_reads_and_assignments():
+    source = """
+from pottsim import dynamics
+import pottsim.scheduler as sched
+from pottsim.dynamics import _line_aligned, integrate
+
+lattice = dynamics._lattice_coupling
+dynamics._lattice_coupling = spy
+setattr(sched, "solve_batch", spy)
+integrate.calls += 1
+print(dynamics.__doc__, sched.solve_batch, integrate(_phases))
+"""
+    assert tool_reaches(ast.parse(source)) == [
+        (4, "_line_aligned"), (6, "_lattice_coupling"), (7, "_lattice_coupling"),
+        (8, "setattr"), (9, "calls")]

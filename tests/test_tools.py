@@ -3,8 +3,6 @@
 import importlib.util
 from pathlib import Path
 
-from pottsim import dynamics
-
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -44,22 +42,20 @@ class TestWindowTimes:
         assert gated[:3] == [0, 40, 40] and gated[3] == 0 and gated[4] == gated[5] < 40
         assert all(us >= 0.0 for *_, us in rows)
 
-    def test_closures(self):
+    def test_drift_column(self):
         tool = load("window_times")
-        # kings 3 x 2 is below the lattice size floor, kings 7 x 21 above it
-        small = tool.closure_times(3, 2, calls=2, repeat=1)
-        large = tool.closure_times(7, 21, calls=2, repeat=1)
-        assert dynamics._lattice_coupling.__name__ == "_lattice_coupling"
-        assert [layout for layout, _ in small] == ["lattice", "compacted"]
-        assert small[0][1] is None and small[1][1] >= 0.0
-        assert all(us >= 0.0 for _, us in large)
-        lines = tool.tables([(1, "free", 500, 0, 1.25)], small).splitlines()
-        assert lines[2] == "| 1 | free | 500 | 0 | 1.2 |"
-        assert lines[-2:][0].startswith("| lattice | not taken")
+        # each window less its own stage's free window
+        lines = tool.table([(1, "free", 500, 0, 1.25), (1, "anneal", 2000, 40, 5.0),
+                            (2, "free", 500, 0, 2.0), (2, "lock", 500, 14, 6.5)]).splitlines()
+        assert lines[0].endswith("| CPU us/step | drift us/step |")
+        assert lines[2:] == ["| 1 | free | 500 | 0 | 1.2 | 0.0 |",
+                             "| 1 | anneal | 2000 | 40 | 5.0 | 3.8 |",
+                             "| 2 | free | 500 | 0 | 2.0 | 0.0 |",
+                             "| 2 | lock | 500 | 14 | 6.5 | 4.5 |"]
 
     def test_main(self, capsys):
         tool = load("window_times")
-        assert tool.main(["--side", "3", "--batch", "2", "--repeat", "1", "--calls", "2"]) == 0
+        assert tool.main(["--side", "3", "--batch", "2", "--repeat", "1"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "kings 3, B = 2, best of 1"
-        assert len(out) == 1 + 8 + 1 + 4
+        assert len(out) == 1 + 8

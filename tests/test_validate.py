@@ -125,6 +125,14 @@ class TestFinite:
         array = np.zeros(3)
         assert finite("x", array) is array
 
+    @pytest.mark.parametrize("value,dtype", [([0.5, 1j], "complex128"), (["a", "b"], "<U1"),
+                                             ([0.5, None], "object")], ids=repr)
+    def test_rejects_what_is_not_a_real_array(self, value, dtype):
+        # numpy's isfinite raised a bare TypeError on strings and objects and
+        # passed complex numbers, whose float64 cast drops the imaginary part
+        with pytest.raises(ValueError, match=re.escape(f"x must be a real array, got dtype {dtype}")):
+            finite("x", value)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
     def test_rejects_nan_and_inf(self, bad):
         with pytest.raises(ValueError, match=re.escape("xi must be finite, got NaN or inf")):
