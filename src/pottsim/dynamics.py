@@ -113,7 +113,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .validate import broadcast, count, finite, real, shaped
+from .validate import broadcast, count, finite, is_real, real, shaped
 
 __all__ = [
     "PhaseState",
@@ -248,6 +248,8 @@ class ShilConfig:
     @classmethod
     def uniform(cls, n: int, phi: float) -> "ShilConfig":
         count("n", n, 0)
+        if not is_real(type(phi)):  # float() would take "1.5" and True
+            raise ValueError(f"phi must be a real number (not bool), got {phi!r}")
         phi = float(phi)
         finite("phi", phi)
         return cls(np.ones(n, dtype=bool), np.full(n, phi))

@@ -9,9 +9,9 @@ list-and-set search that tests/test_oracle.py keeps as a reference.
 
 brute_force_maxcut searches all partitions (n <= 24) by meet in the
 middle, one matrix product per block of masks, and returns bit for bit
-what a plain enumeration of Graph.cut_sums returns: integer scores are
-exact, and real-weight ones are screened with a rounding-error bound and
-re-summed by Graph.cut_sums. The King's-graph closed forms give a
+what a plain enumeration of Graph.cut_sums returns: one rounding-error
+margin (0 for integer weights) screens the scores, and the masks it keeps
+are re-summed by Graph.cut_sums. The King's-graph closed forms give a
 constructive proper 4-coloring and the best-known (row-stripe) cut value.
 cut_baseline picks the max-cut normalizer that cut accuracies are
 reported against; it sums in the same edge order, so the optimum scores
@@ -38,6 +38,9 @@ __all__ = [
     "cut_baseline_kind",
     "cut_baseline",
 ]
+
+
+BRUTE_FORCE_MAX_NODES = 24  # brute_force_maxcut's cap, and the largest exact baseline
 
 
 class OracleTimeout(Exception):
@@ -151,88 +154,79 @@ def _gamma(terms: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _best_mask(graph: Graph) -> tuple[float, int]:
-    """brute_force_maxcut's (best cut, smallest mask reaching it)."""
-    w = graph.w
-    total = float(np.abs(w).sum())
-    exact = bool(np.all(w == np.round(w))) and 4.0 * total < 2.0**53
-    margin = math.inf
-    if math.isfinite(16.0 * total):
-        eps = 4.0 * _gamma(2 * (graph.n**2 + 2 * len(w))) + _gamma(2 * len(w))
-        margin = 2.0 * eps * total + 5e-324
-    best_cut, best_mask, top = -1.0, 0, -math.inf
-    for first, scores in _score_blocks(graph):
-        if exact:
-            k = int(np.argmax(scores))
-            # + 0.0 turns a -0.0 that BLAS may return into the sum's 0.0
-            cut, mask = float(scores[k]) + 0.0, first + k
-        else:
-            if margin < math.inf:
-                top = max(top, float(scores.max()))
-                keep = np.flatnonzero(top - scores <= margin)
-            else:
-                keep = np.arange(len(scores))
-            if not len(keep):
-                continue
-            cuts = graph.cut_sums(((first + keep[:, None]) << 1 >> np.arange(graph.n)) & 1)
-            k = int(np.argmax(cuts))
-            cut, mask = float(cuts[k]), first + int(keep[k])
-        if cut > best_cut:
-            best_cut, best_mask = cut, mask
-    return best_cut, best_mask
-
-
 def brute_force_maxcut(graph: Graph) -> tuple[float, np.ndarray]:
-    """Exhaustive weighted max-cut for n <= 24.
+    """Exhaustive weighted max-cut for n <= BRUTE_FORCE_MAX_NODES (24).
 
     Fixes node 0 on side 0: node v is bit v of 2 * mask, and 2^(n-1)
     masks cover every cut. Returns (best cut weight, the 0/1 labels of the
     smallest mask that reaches it): the largest Graph.cut_sums of any mask,
-    so cut_value(graph, labels) equals it bit for bit.
+    so cut_value(graph, labels) equals it bit for bit, and every value
+    returned for a nonempty graph is one of those sums.
 
     Every block of 2^16 masks is scored by one matrix product
     (_score_blocks). A score p is the floating-point sum, in some order, of
     the terms w_e x_i, w_e x_j and -2 w_e x_i x_j of the cut, each exact.
-    With S the sum of |w_e|:
+    One rule reads every block: skip it if its top score plus half the
+    margin does not beat the best sum so far, else re-sum by Graph.cut_sums
+    every mask whose score is within the margin of the top. With S the sum
+    of |w_e|, the weights set only the margin:
 
-    - Integer weights with 4 S < 2^53: every partial sum is an integer
-      below 2^53, so p is exact in any order and equals the edge-order
-      sum. Each block's first maximum is the enumeration's.
-    - Other weights: only masks that may reach the edge-order maximum are
-      re-summed by Graph.cut_sums. Higham's bound for a sum of L terms in any
-      order, |fl(sum x) - sum x| <= gamma_(L-1) sum |x| with
-      gamma_k = k u / (1 - k u), bounds both errors against the exact
-      cut v. A score sums at most n^2 + 2E terms, each a weight times
-      0/1 bits and so exact, counting every product with a zero bit:
-      lo*hi in B Q, lo^2 + hi^2 in the in-half quadratic parts, and in the
-      linear parts one 0.0 start per free node and one weight per edge
-      endpoint. Their absolute values add up to at most 4 S, so
-      |p - v| <= eps_g = gamma_(n^2 + 2E) 4 S. The edge-order sum s adds
-      E terms to 0.0 with absolute sum at most S, so
-      |s - v| <= eps_v = gamma_E S. If P is the largest score so far and
-      m* the enumeration's mask, p(m*) >= s(m*) - eps_v - eps_g and
-      P <= max s + eps_v + eps_g = s(m*) + eps_v + eps_g, so m* keeps
-      P - p(m*) <= 2 (eps_g + eps_v). The screen keeps every mask that
-      passes that test against the running P (never above the final P)
-      and re-sums only those, per block; of the re-summed masks the
-      largest sum and, on a tie, the smallest mask win, as in the
-      enumeration. Both gammas are taken at twice their term counts,
-      which covers the rounding of S and of the margin itself, and the
-      smallest subnormal added to the margin covers its underflow. Since
-      rounding is monotone, comparing the rounded P - p with a margin at
-      least as large never drops a mask the exact test keeps.
-    - If 16 S overflows, a score may overflow too and the bound says
-      nothing: every mask is re-summed, one block at a time, which is the
-      enumeration itself.
+    - 0.0 for integer weights with 4 S < 2^53: every partial sum is an
+      integer below 2^53, so p is exact in any order.
+    - Higham's bound for other finite weights: a sum of L terms in any
+      order has |fl(sum x) - sum x| <= gamma_(L-1) sum |x|, with
+      gamma_k = k u / (1 - k u). A score sums at most n^2 + 2E exact terms,
+      counting every product with a zero bit: lo*hi in B Q, lo^2 + hi^2 in
+      the in-half quadratic parts, and in the linear parts one 0.0 start
+      per free node and one weight per edge endpoint. Their absolute values
+      add up to at most 4 S, so |p - v| <= eps_g = gamma_(n^2 + 2E) 4 S
+      against the exact cut v. The edge-order sum s adds E terms to 0.0
+      with absolute sum at most S, so |s - v| <= eps_v = gamma_E S. The
+      margin is 2 (eps_g + eps_v) with both gammas at twice their term
+      counts, which covers the rounding of S and of the margin; the
+      smallest subnormal added to it covers its underflow.
+    - inf where 16 S overflows: a score may overflow and the bound says
+      nothing, so every mask is re-summed, which is the enumeration.
+
+    This is still the enumeration's answer:
+
+    - a score p and an edge-order sum s of one mask differ by at most
+      margin / 2;
+    - so the skip test never drops a block that holds a larger sum;
+    - the keep test never drops that block's best mask, whose score is at
+      least its sum - margin / 2 >= the top mask's sum - margin / 2 >= the
+      top score - margin;
+    - the first argmax of the re-sums is the smallest mask, and the strict
+      > keeps an earlier block's tie;
+    - the doubled term counts already cover the one rounding in each of the
+      two tests, since rounding is monotone. A NaN score or an inf margin
+      fails both tests, so its block is re-summed whole.
     """
-    if graph.n > 24:
-        raise ValueError(f"brute force capped at 24 nodes, got {graph.n}")
+    if graph.n > BRUTE_FORCE_MAX_NODES:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_NODES} nodes, got {graph.n}")
     if graph.n == 0:
         return 0.0, np.zeros(0, dtype=np.int64)
     # weights near the float limit overflow S and the scores; every mask is
     # then re-summed, and its sum overflows just as the enumeration's does
     with np.errstate(over="ignore", invalid="ignore"):
-        best_cut, best_mask = _best_mask(graph)
+        w = graph.w
+        total = float(np.abs(w).sum())
+        margin = math.inf
+        if math.isfinite(16.0 * total):
+            eps = 4.0 * _gamma(2 * (graph.n**2 + 2 * len(w))) + _gamma(2 * len(w))
+            margin = 2.0 * eps * total + 5e-324
+        if 4.0 * total < 2.0**53 and np.all(w == np.round(w)):
+            margin = 0.0
+        best_cut, best_mask = -1.0, 0
+        for first, scores in _score_blocks(graph):
+            high = float(scores.max())
+            if high + margin / 2 <= best_cut:  # no mask here beats the best sum so far
+                continue
+            keep = np.flatnonzero(~(high - scores > margin))
+            cuts = graph.cut_sums(((first + keep[:, None]) << 1 >> np.arange(graph.n)) & 1)
+            k = int(np.argmax(cuts))
+            if cuts[k] > best_cut:
+                best_cut, best_mask = float(cuts[k]), first + int(keep[k])
     return best_cut, ((best_mask << 1) >> np.arange(graph.n)) & 1
 
 
@@ -251,7 +245,7 @@ def cut_baseline_kind(graph: Graph) -> str:
     row-stripe value on King's graphs, not proven optimal) or "upper-bound"
     (the total positive edge weight, so accuracies are conservative).
     """
-    if graph.edge_count == 0 or graph.n <= 24:
+    if graph.edge_count == 0 or graph.n <= BRUTE_FORCE_MAX_NODES:
         return "exact"
     # looked up on the module at call time, so a replacement of
     # pottsim.graph.kings_side (a tracer's timing wrapper, say) is the one called

@@ -160,6 +160,14 @@ class TestBench:
         assert lines[1].startswith("4,")
         assert lines[2].startswith("9,")
 
+    def test_csv_goes_to_stdout_without_output(self, capsys):
+        assert main(["bench", "--sides", "2", "--iters", "2", "--seed", "0"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        # the progress line, then the CSV that -o would write
+        assert printed[0].startswith("side 2 (4 nodes): best ")
+        assert printed[1] == "size,search_space,iterations,best_accuracy,mean_accuracy,wall_time_s"
+        assert printed[2].startswith("4,4^4,2,") and len(printed) == 3
+
     @pytest.mark.parametrize("sides", ["", ",,"])
     def test_no_side_is_a_usage_error(self, sides, capsys):
         # used to print the CSV header alone and exit 0
@@ -430,6 +438,12 @@ class TestBadInput:
         path.write_text("coupling = 1.0\n" + line + "\n")
         self._fails(["solve", "-g", k4_path, "--config", str(path)],
                     capsys, f"{path}:2:", repr(name))
+
+    def test_config_line_without_equals(self, k4_path, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# a comment\nnoise 0.1\n")
+        self._fails(["solve", "-g", k4_path, "--config", str(path)],
+                    capsys, f"{path}:2: expected key = value")
 
     def test_bench_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -502,6 +502,19 @@ class TestShilConfigUniform:
         with pytest.raises(ValueError, match="phi must be finite, got NaN or inf"):
             ShilConfig.uniform(3, phi)
 
+    @pytest.mark.parametrize("phi", ["1.5", True, None], ids=repr)
+    def test_rejects_a_lock_phase_that_is_not_a_real_number(self, phi):
+        # "1.5" and True used to pass through float() as lock phases 1.5 and 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"phi must be a real number (not bool), got {phi!r}")):
+            ShilConfig.uniform(3, phi)
+
+    @pytest.mark.parametrize("phi", [-math.pi / 2, np.float32(0.5), np.float64(-1.0), 2, np.int64(-3)],
+                             ids=repr)
+    def test_accepts_any_finite_real_lock_phase(self, phi):
+        shil = ShilConfig.uniform(3, phi)
+        assert shil.select.dtype == np.float64 and np.array_equal(shil.select, np.full(3, float(phi)))
+
 
 class TestParams:
     @pytest.mark.parametrize("name", ["coupling", "locking", "noise", "dt"])

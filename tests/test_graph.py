@@ -256,6 +256,11 @@ class TestGraphInvariants:
         g = Graph(3, [(2, 0, 1.5), (1, 2, 2.0)])
         assert g.edges == [(0, 2, 1.5), (1, 2, 2.0)]
 
+    def test_equality_with_another_type_and_repr(self):
+        g = kings_graph(3)
+        assert (g == 3) is False and g.__eq__(3) is NotImplemented
+        assert repr(g) == "Graph(n=9, edges=20)"
+
 
 @st.composite
 def graphs(draw, max_n=12):
@@ -637,6 +642,10 @@ class TestFileIO:
         with pytest.raises(ValueError):
             load_graph(tmp_path / "g.txt")
 
+    def test_unknown_format_name(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format 'xml'; expected one of"):
+            load_graph(tmp_path / "g.col", format="xml")
+
 
 DIMACS_CASES = {
     "valid": ("p edge 3 2\ne 1 2\ne 2 3\n", None),
@@ -646,6 +655,7 @@ DIMACS_CASES = {
     "self-loop": ("p edge 3 2\ne 1 2\ne 3 3\n", "3: self-loop on node 2"),
     "duplicate": ("p edge 3 2\ne 1 2\ne 2 1\n", "3: duplicate edge (0, 1)"),
     "count-mismatch": ("p edge 3 2\ne 1 2\n", " declared 2 edges, found 1"),
+    "no-problem-line": ("c a comment and nothing else\n", " missing problem line"),
 }
 
 

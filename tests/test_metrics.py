@@ -443,6 +443,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="partition"):
             SolveResult.from_dict(doc)
 
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(ValueError, match="a result must be a JSON object"):
+            SolveResult.from_dict([1])
+
     def test_from_dict_ignores_wall_time(self):
         doc = make_result([0, 1], col_acc=1.0).to_dict()
         doc["wall_time"] = "abc"

@@ -271,6 +271,12 @@ class TestSolveKColoring:
         with pytest.raises(ValueError):
             solve_kcoloring(EDGE, 0)
 
+    def test_batch_rejects_no_seeds(self, monkeypatch):
+        windows = record_windows(monkeypatch)
+        with pytest.raises(ValueError, match="need at least one seed"):
+            solve_batch(EDGE, 1, seeds=[])
+        assert windows == []
+
     @pytest.mark.parametrize("m", [0, -1, 2.0, 1.5, "2", True, None])
     def test_rejects_m_that_is_not_a_positive_integer(self, m, monkeypatch):
         windows = record_windows(monkeypatch)
