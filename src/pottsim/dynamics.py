@@ -108,7 +108,7 @@ operands and its order, so the bits are the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -271,8 +271,8 @@ class DynamicsParams:
     dt: float = 0.01
 
     def __post_init__(self):
-        for name in ("coupling", "locking", "noise", "dt"):
-            real(name, getattr(self, name), positive=name == "dt")
+        for f in fields(self):
+            real(f.name, getattr(self, f.name), positive=f.name == "dt")
 
     def check_stability(self, graph: Graph) -> None:
         """dt * max(coupling * max_weighted_degree, 2 * locking) must stay below 0.5.

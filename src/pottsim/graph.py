@@ -3,12 +3,17 @@
 Edges are stored once each with i < j; weight 1.0 encodes the
 anti-ferromagnetic "adjacent nodes must differ" constraint. Instances are
 treated as immutable after construction and are safe to share across threads.
+
+Each reader reads its file once. The DIMACS reader raises each fault where it
+finds it, and the first bad line in file order wins; the constructor and the
+JSON reader share one edge-row check, and the first bad row is named.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable
@@ -42,7 +47,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         self.n = _node_count("node count n", n)
         rows = list(edges)
-        good, i, j, w = _columns(rows, (3,))
+        good, i, j, w = _columns(rows, (Sequence, np.ndarray), (3,))
         if not good.all():
             raise GraphFormatError(
                 "an edge must be (i, j, w) with integer node ids (not bool) and a real"
@@ -134,11 +139,12 @@ def _mask(keys: list, ok) -> np.ndarray:
     return np.fromiter(map(verdict.__getitem__, keys), dtype=bool, count=len(keys))
 
 
-def _columns(rows: list, sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple, tuple, tuple]:
-    """The mask of rows (i, j, ..., w) whose length is in sizes, whose node ids
-    are integers (not bool) and whose last item is a real number, and the
-    columns i, j and last item of those rows."""
-    good = _mask(list(map(len, rows)), sizes.__contains__)
+def _columns(rows: list, kinds: tuple[type, ...], sizes: tuple[int, ...]) -> tuple:
+    """The mask of rows (i, j, ..., w) that are instances of kinds, whose
+    length is in sizes, whose node ids are integers (not bool) and whose last
+    item is a real number, and the columns i, j and last item of those rows."""
+    good = _mask(list(map(type, rows)), lambda kind: issubclass(kind, kinds))
+    good[good] = _mask(list(map(len, compress(rows, good))), sizes.__contains__)
     kept = list(compress(rows, good))
     i, j, w = (tuple(map(itemgetter(k), kept)) for k in (0, 1, -1))
     good[good] = (_mask(list(map(type, i)), is_integer) & _mask(list(map(type, j)), is_integer)
@@ -275,40 +281,11 @@ def _format(path, fmt: str | None) -> tuple:
 
 
 def _load_dimacs(path) -> Graph:
-    """Read a DIMACS file in one pass. The endpoint tokens convert in one
-    numpy call; only when that fails, or a value is out of range, does a loop
-    over the kept tokens name the first bad line. A line that ended the pass
-    early is reported after a bad endpoint on an earlier line, so the first
-    bad line in file order wins."""
-    n, declared_m, edges, error = _read_dimacs(path)
-    try:
-        # numpy parses each token as int() does, raising ValueError or OverflowError
-        i, j = (np.array(edges[k::3], dtype=np.int64) for k in (1, 2))
-        in_range = i.size == 0 or (min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= n)
-    except (ValueError, OverflowError):
-        in_range = False
-    if not in_range:
-        for lineno, *tokens in zip(edges[0::3], edges[1::3], edges[2::3]):
-            i, j = (_dimacs_int(path, lineno, token) for token in tokens)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise GraphFormatError(f"{path}:{lineno}: node index out of range for n={n}")
-    if error is not None:
-        raise error
-    g = _graph(n, _canonical_edges(n, i - 1, j - 1, np.ones(len(i)),
-                                   lambda k: f"{path}:{edges[3 * k]}: "))
-    if declared_m is not None and g.edge_count != declared_m:
-        raise GraphFormatError(
-            f"{path}: declared {declared_m} edges, found {g.edge_count}"
-        )
-    return g
-
-
-def _read_dimacs(path) -> tuple:
-    """The node count, the declared edge count, the edge lines flattened
-    (line number, i token, j token for each), and the GraphFormatError of
-    the line that ended the pass early, or None. Only syntax is checked."""
+    """Read a DIMACS file in one pass, raising each fault on the line where it
+    is found. The endpoint tokens are checked at the end of the pass, or before
+    the fault of a line that ends it early, so the first bad line in file order wins."""
     n = declared_m = None
-    edges = []
+    edges = []  # line number, i token, j token of each edge line
     with open(path) as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
@@ -336,11 +313,34 @@ def _read_dimacs(path) -> tuple:
                         raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
                 else:
                     raise GraphFormatError(f"{path}:{lineno}: unknown line type {parts[0]!r}")
-        except GraphFormatError as exc:
-            return n, declared_m, edges, exc
+        except GraphFormatError:
+            _endpoints(path, n, edges)
+            raise
     if n is None:
         raise GraphFormatError(f"{path}: missing problem line")
-    return n, declared_m, edges, None
+    i, j = _endpoints(path, n, edges)
+    g = _graph(n, _canonical_edges(n, i - 1, j - 1, np.ones(len(i)),
+                                   lambda k: f"{path}:{edges[3 * k]}: "))
+    if g.edge_count != declared_m:
+        raise GraphFormatError(f"{path}: declared {declared_m} edges, found {g.edge_count}")
+    return g
+
+
+def _endpoints(path, n: int | None, edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """The i and j tokens of the edge lines as int64 arrays, in one numpy call,
+    or the GraphFormatError of the first line whose token is not an integer in
+    1..n, which a loop names only when that call fails or a value is out of range."""
+    try:
+        # numpy parses each token as int() does, so when it fails the loop finds the token
+        i, j = (np.array(edges[k::3], dtype=np.int64) for k in (1, 2))
+        if i.size == 0 or (min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= n):
+            return i, j
+    except (ValueError, OverflowError):
+        pass
+    for lineno, *tokens in zip(edges[0::3], edges[1::3], edges[2::3]):
+        i, j = (_dimacs_int(path, lineno, token) for token in tokens)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise GraphFormatError(f"{path}:{lineno}: node index out of range for n={n}")
 
 
 def _dimacs_int(path, lineno: int, field: str) -> int:
@@ -363,9 +363,7 @@ def _load_json(path) -> Graph:
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
     rows = doc["edges"]
-    good = _mask(list(map(type, rows)), lambda kind: kind is list)
-    formed, i, j, last = _columns(list(compress(rows, good)), (2, 3))
-    good[good] = formed
+    good, i, j, last = _columns(rows, (list,), (2, 3))
     if not good.all():
         raise GraphFormatError(
             f"{path}: edge entries must be [i, j] or [i, j, w] with integer"

@@ -249,8 +249,7 @@ def cut_baseline_kind(graph: Graph) -> str:
         return "exact"
     # looked up on the module at call time, so a replacement of
     # pottsim.graph.kings_side (a tracer's timing wrapper, say) is the one called
-    side = _graph.kings_side(graph)
-    if side is not None and side >= 2:
+    if _graph.kings_side(graph) is not None:
         return "best-known"
     return "upper-bound"
 

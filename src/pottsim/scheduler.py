@@ -130,8 +130,11 @@ def lock_readout(phases, phi, tolerance: float):
     phases and phi broadcast against each other, nodes on the last axis.
     Returns (bits, locked): bit 0 where the phase is nearer phi and 1 where
     it is nearer phi + pi, and per row whether every phase lies within
-    tolerance of its pair.
+    tolerance of its pair. tolerance must be a real number in (0, pi/2).
     """
+    real("tolerance", tolerance, positive=True)
+    if not tolerance < math.pi / 2:
+        raise ValueError(f"tolerance must lie in (0, pi/2), got {tolerance!r}")
     shifted = phases - phi
     bits = quantize_phases(shifted, 2)  # first, so NaN or inf fails before np.mod warns
     rel = np.mod(shifted, math.pi)
@@ -141,10 +144,8 @@ def lock_readout(phases, phi, tolerance: float):
 def partition_from_phases(
     state: PhaseState, tolerance: float = LOCK_TOLERANCE
 ) -> tuple[np.ndarray, bool]:
-    """Binary labels of one phase row, nearest of {0, pi}; locked iff all within tolerance."""
-    real("tolerance", tolerance, positive=True)
-    if not tolerance < math.pi / 2:
-        raise ValueError(f"tolerance must lie in (0, pi/2), got {tolerance!r}")
+    """Binary labels of one phase row, nearest of {0, pi}; locked iff all
+    within tolerance (see lock_readout)."""
     phases = shaped("state.phases", state.phases, np.shape(state.phases)[-1:])
     labels, locked = lock_readout(phases, 0.0, tolerance)
     return labels, bool(locked)
@@ -162,8 +163,9 @@ def gate_couplings(graph: Graph, labels) -> CouplingGate:
 def assign_shil(groups, stage: int = 2) -> ShilConfig:
     """Stage-t lock reference phi = group * pi / 2^(t-1), enabled on every node.
 
-    groups may be (B, n), one row per iteration.
+    groups may be (B, n), one row per iteration; stage is an integer >= 1.
     """
+    count("stage", stage, 1)
     groups = np.asarray(groups)
     return ShilConfig(
         enabled=np.ones(groups.shape[-1], dtype=bool),

@@ -311,11 +311,18 @@ class TestBadInputFailsByName:
     @pytest.mark.parametrize("edge", [
         (0.5, 2, 1.0), (True, 2, 1.0), (0, np.float64(2.0), 1.0), (0, np.bool_(True), 1.0),
         (0, 2, "2"), (0, 2, True), (0, 2, None), (0, 2), (0, 1, 2, 1.0),
+        # rows that are not sequences used to fail in len() or on row[-1]
+        5, None, {0: 0, 1: 1, 2: 1.0},
     ], ids=["id-float", "id-bool", "id-numpy-float", "id-numpy-bool", "weight-string",
-            "weight-bool", "weight-none", "two-items", "four-items"])
+            "weight-bool", "weight-none", "two-items", "four-items", "scalar-row", "none-row",
+            "dict-row"])
     def test_edge_needs_integer_ids_and_a_real_weight(self, edge):
         with pytest.raises(GraphFormatError, match=re.escape(f"got {edge!r}")):
             Graph(3, [(0, 1, 1.0), edge])
+
+    def test_range_and_array_rows_load(self):
+        assert Graph(3, [range(3)]).edges == [(0, 1, 2.0)]
+        assert Graph(3, np.array([[0, 1, 1], [2, 1, 3]])).edges == [(0, 1, 1.0), (1, 2, 3.0)]
 
     def test_first_badly_typed_edge_is_named(self):
         with pytest.raises(GraphFormatError, match=re.escape("got (1, 2.0, 1.0)")):

@@ -132,6 +132,15 @@ class TestPartitionFromPhases:
             partition_from_phases(PhaseState(np.array([0.0])), tolerance)
 
 
+class TestLockReadout:
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, True, "0.1", math.pi / 2, math.inf],
+                             ids=repr)
+    def test_rejects_a_tolerance_outside_the_open_quarter_turn(self, tolerance):
+        # a negative or NaN tolerance used to read every row as unlocked
+        with pytest.raises(ValueError, match=r"tolerance must (be positive|lie in \(0, pi/2\))"):
+            lock_readout(np.zeros((1, 2)), 0.0, tolerance)
+
+
 class TestGateCouplings:
     def test_cross_edge_off(self):
         assert list(gate_couplings(EDGE, [0, 1]).active) == [False]
@@ -168,7 +177,13 @@ class TestAssignShil:
     def test_all_one(self):
         assert np.all(assign_shil([1, 1]).select == math.pi / 2)
 
-    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stage", [0, -1, 2.5, np.float64(2.0), True, "2", None], ids=repr)
+    def test_rejects_a_stage_that_is_not_an_integer_from_1(self, stage):
+        # stage 0 used to give phi = 2 * pi * group, and 2.5 a phi off every lock grid
+        with pytest.raises(ValueError, match="stage must be an integer >= 1"):
+            assign_shil(np.array([0, 1]), stage)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4, np.int64(2)])
     def test_batched_groups_any_stage(self, stage):
         # stage t sees group ids 0 .. 2^(t-1) - 1, one row per iteration
         groups = np.arange(15).reshape(3, 5) % 2 ** (stage - 1)
