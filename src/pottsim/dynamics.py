@@ -57,25 +57,25 @@ full-angle loop and pins integrate to it bit for bit.
 
 The drift has two edge layouts, chosen once per window; both give the same
 bits, and in both one half_angle_sine call per step covers the coupling and
-the lock term together. The compacted layout gathers both endpoints of
-every gated edge and scatters the sines with np.bincount, which adds each
-node's terms in edge order from 0.0. Its one buffer holds the edge slots,
-padded to a whole cache line, then the B * n lock slots (h + h) - phi,
-which are added after the two bincounts. The lattice layout groups the
-gated edges by their offset d = j - i in the flat half-phase array, one row
-per class of (K, B * n) slot arrays: slot (k, i) is the pair (i, i + d_k),
-weighted dt * coupling * w where a gated edge sits and 0 elsewhere,
-straddling slots included; a row's last d_k slots pair with nothing and hold
-+0.0. The lock term is row K. The source sums are one np.add.reduce(s[:K], axis=0,
-initial=0.0), which adds whole rows one after another in increasing d from
-+0.0; the target sums add dst[d:] += s[k, :-d] in decreasing d, also from
-+0.0; the drift is src - dst, plus the lock row. Edges are sorted by
-(i, j), so a node's edges as source come in increasing d and as target in
-decreasing d: the order np.bincount adds them in. An empty slot adds
-t * 0 / (1 + t^2) = +-0, and so does a row's tail; adding +-0 leaves a sum
-that started at +0.0 unchanged, sign included. A lock-only window, with no
-gated edge, takes the same choice: the compacted drift is then lock + 0,
-since np.bincount of no index gives integer zeros, and the lattice drift
+the lock term together, over one contiguous run (_slot_buffers): edge slots
+in rows padded to whole cache lines, then the B * n lock slots (h + h) - phi.
+The compacted layout gathers both endpoints of every gated edge into one row
+and scatters the sines with np.bincount, which adds each node's terms in
+edge order from 0.0. The lattice layout groups the gated edges by their
+offset d = j - i in the flat half-phase array, one row of B * n slots per
+class: slot (k, i) is the pair (i, i + d_k), weighted dt * coupling * w
+where a gated edge sits and 0 elsewhere, straddling slots included; a row's
+last d_k slots pair with nothing and hold +0.0. The source sums are one
+np.add.reduce over the K rows (axis=0, initial=0.0), which adds whole rows
+one after another in increasing d from +0.0; the target sums add
+dst[d:] += s[k, :-d] in decreasing d, also from +0.0; the drift is
+src - dst, plus the lock slots. Edges are sorted by (i, j), so a node's
+edges as source come in increasing d and as target in decreasing d: the
+order np.bincount adds them in. An empty slot adds t * 0 / (1 + t^2) = +-0,
+and so do a row's tail and padding; adding +-0 leaves a sum that started at
++0.0 unchanged, sign included. A lock-only window, with no gated edge,
+takes the same choice: the compacted drift is then lock + 0, since
+np.bincount of no index gives integer zeros, and the lattice drift
 (+0.0 - +0.0) + lock, the same bits. The lattice layout wins when
 the slices are dense and long; LATTICE_MIN_NODES and
 LATTICE_MAX_SLOTS_PER_EDGE say when. An empty slot between two iterations
@@ -92,17 +92,18 @@ from explicit noise xi, is scaled by noise * sqrt(dt) / 2 as it is written
 into that iteration's columns.
 
 Every float64 array the step loop reads or writes in full is made once per
-window by _line_aligned and starts on a 64-byte cache line, and so does
-each row of a 2-D one: the half phases, the noise rows, the edge and lock
-weights, the lock references, the lattice slots and sums and the sine's
-buffers. NumPy's SIMD loops run slower from an address off a line, and
-malloc starts large arrays 16 bytes past one: on a 2-core AVX-512 Xeon VM,
-a * a into a third array of 25 392 doubles took 16.8 us from there against
-8.0 us from a line, and a - b 16.5 against 8.8 us. Each step writes into
-these buffers in place, with out given positionally: on the desk-planar
-graphs, about 100 phases, a step is about a dozen NumPy calls, and their
-overhead, not the arithmetic, sets its time. Every operation keeps its
-operands and its order, so the bits are the same.
+window by _line_aligned and starts on a 64-byte cache line: the half phases,
+each noise row, the lock references, the sine's slot runs and the lattice
+sums. NumPy's SIMD loops run slower from an address off a line, and malloc
+starts large arrays 16 bytes past one: on a 2-core AVX-512 Xeon VM, a * a
+into a third array of 25 392 doubles took 16.8 us from there against 8.0 us
+from a line, and a - b 16.5 against 8.8 us. Over rows
+with gaps they run slower still, so the sine gets whole runs: a (4, 980)
+multiply of rows 984 apart took 5.5 us, a contiguous (4, 984) 1.4 us. Each
+step writes into these buffers in place, with out given positionally: on the
+desk-planar graphs, about 100 phases, a step is about a dozen NumPy calls,
+and their overhead, not the arithmetic, sets its time. Every operation keeps
+its operands and its order, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -144,8 +145,11 @@ NOISE_BLOCK_BYTES = 1024 * 1024
 # otherwise it gathers and scatters the compacted gated edges. Below the
 # floor, per-call overhead outweighs the contiguous arithmetic; above the
 # fill bound, the empty slots do. The all-on gate of a King's graph fills
-# about one slot per edge (4 classes: 1, s - 1, s and s + 1).
-LATTICE_MIN_NODES = 1000
+# about one slot per edge (4 classes: 1, s - 1, s and s + 1). Its stage-1
+# anneal took, in us per step compacted / lattice (tools/window_times.py,
+# best of 3, 2-core AVX-512 Xeon VM), 7.1 / 8.8 at 49 phases, 11.5 / 11.7
+# at 147, 13.0 / 12.8 and 13.8 / 13.1 at 196 and 22.1 / 18.4 at 400.
+LATTICE_MIN_NODES = 196
 LATTICE_MAX_SLOTS_PER_EDGE = 2
 
 # the cache line every buffer of the step loop, and each of its rows, starts on
@@ -321,34 +325,48 @@ def random_init(n: int, rng: np.random.Generator) -> PhaseState:
     return PhaseState(rng.uniform(0.0, TWO_PI, size=n), time=0.0)
 
 
-def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w: np.ndarray,
-                        lock=None):
-    """The drift of the gated edges (ei, ej) of the flat half phases, gathered
-    per edge and scattered per node by np.bincount, plus the lock term where
-    lock = (lock_w, select) is given.
-
-    One line-aligned buffer holds the E edge slots, padded to a whole line
-    with slots of weight 0 that are never summed, then the B * n lock slots,
-    so one sine call covers both terms. With no gated edge this is the drift
-    of a lock-only window.
+def _slot_buffers(half: np.ndarray, rows: int, width: int, lock):
+    """The drift sine's weights, slots and scratch as line-aligned 1-D runs:
+    rows rows of width edge slots, each padded to whole lines at weight 0,
+    then the len(half) lock slots, weighted lock_w where lock = (lock_w,
+    select). Returns the edge weights and slots as (rows, width) views of
+    +0.0 and sine(), which writes the lock slots (h + h) - select, runs the
+    sine in place over the whole run and returns the lock slots or None. A
+    slot never written (a row's tail or padding) stays +0.0 at weight 0.
     """
-    size, edges = len(half), len(ei)
-    per_line = LINE_BYTES // 8
-    first = -(-edges // per_line) * per_line  # the lock slots' first line
-    weights = _line_aligned((edges if lock is None else first + size,), 0.0)
-    weights[:edges] = edge_w
-    if lock is not None:
-        lock_w, select = lock
-        weights[first:] = lock_w
-    s, denom = _line_aligned(weights.shape, 0.0), _line_aligned(weights.shape)
-    edge_s, lock_s = s[:edges], None if lock is None else s[first:]
+    padded = -(-8 * width // LINE_BYTES) * LINE_BYTES // 8  # width in whole lines
+    first = rows * padded  # the lock slots' first line
+    run = first if lock is None else first + len(half)
+    weights, s, denom = (_line_aligned((run,), fill) for fill in (0.0, 0.0, None))
+    lock_w, select = lock or (0.0, None)
+    weights[first:] = lock_w
+    lock_s = None if lock is None else s[first:]
 
-    def drift() -> np.ndarray:
-        np.subtract(half[ei], half[ej], edge_s)
+    def sine() -> np.ndarray | None:
         if lock_s is not None:
             np.add(half, half, lock_s)
             np.subtract(lock_s, select, lock_s)
         _half_angle_sine_into(s, weights, s, denom)
+        return lock_s
+
+    return (weights[:first].reshape(rows, padded)[:, :width],
+            s[:first].reshape(rows, padded)[:, :width], sine)
+
+
+def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w: np.ndarray,
+                        lock=None):
+    """The drift of the gated edges (ei, ej) of the flat half phases, gathered
+    into one row of _slot_buffers and scattered per node by np.bincount, plus
+    the lock term where lock = (lock_w, select) is given; with no gated edge,
+    the drift of a lock-only window.
+    """
+    size = len(half)
+    (weights,), (edge_s,), sine = _slot_buffers(half, 1, len(ei), lock)
+    weights[:] = edge_w
+
+    def drift() -> np.ndarray:
+        np.subtract(half[ei], half[ej], edge_s)
+        lock_s = sine()
         torque = np.bincount(ei, edge_s, size)
         np.subtract(torque, np.bincount(ej, edge_s, size), torque)
         # lock + torque has the bits of torque + lock, as IEEE addition
@@ -361,52 +379,34 @@ def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w
 def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge_w: np.ndarray,
                       lock=None):
     """The same drift read as one slice pair per offset d = j - i, or None
-    where the compacted layout pays (see LATTICE_MIN_NODES).
-
-    Row k of the (K, B * n) slot arrays is class d_k: slot (k, i) is the
-    pair (i, i + d_k), weighted edge_w where a gated edge sits and 0
-    elsewhere; a row's last d_k slots hold +0.0. A lock (lock_w, select)
-    adds row K, (h + h) - select weighted lock_w, which the layout rule does
-    not count. Source sums add the rows in increasing d and target sums in
-    decreasing d, each from +0.0; that is np.bincount's order over edges
-    sorted by (i, j), and an empty slot adds +-0, so the result is
-    _compacted_coupling's, bit for bit.
+    where the compacted layout pays (see LATTICE_MIN_NODES): edge row k of
+    _slot_buffers is class d_k, added in np.bincount's order (see the module
+    docstring), so the result is _compacted_coupling's, bit for bit.
     """
     size = len(half)
     classes = np.flatnonzero(np.bincount(offset))
     if size < LATTICE_MIN_NODES or len(classes) * size > LATTICE_MAX_SLOTS_PER_EDGE * len(offset):
         return None
     rows = list(enumerate(classes.tolist()))
-    weights = _line_aligned((len(rows) + (lock is not None), size), 0.0)
+    weights, diff, sine = _slot_buffers(half, len(rows), size, lock)
     weights[np.searchsorted(classes, offset), ei] = edge_w
-    # the sine runs in place on the differences; a row's unwritten tail holds
-    # +0.0, whose sine, weighted 0, is +0.0 again
-    diff, denom = _line_aligned(weights.shape, 0.0), _line_aligned(weights.shape)
     src, dst = _line_aligned((size,)), _line_aligned((size,))
     # views made once: slicing them per call cost 8 % of a call at kings 7 x 40
     pairs = [(half[:-d], half[d:], diff[k, :-d]) for k, d in rows]
     targets = [(dst[d:], diff[k, :-d]) for k, d in reversed(rows)]
-    edge_rows, lock_row = diff[:len(rows)], None
-    if lock is not None:
-        lock_w, select = lock
-        weights[-1] = lock_w
-        lock_row = diff[-1]
 
     def drift() -> np.ndarray:
         for left, right, out in pairs:
             np.subtract(left, right, out)
-        if lock_row is not None:
-            np.add(half, half, lock_row)
-            np.subtract(lock_row, select, lock_row)
-        _half_angle_sine_into(diff, weights, diff, denom)
+        lock_s = sine()
         # whole rows in increasing d, each sum from +0.0; a row's tail adds
         # +0.0, which changes no bit of a sum that started at +0.0
-        np.add.reduce(edge_rows, axis=0, initial=0.0, out=src)
+        np.add.reduce(diff, axis=0, initial=0.0, out=src)
         dst.fill(0.0)
         for out, row in targets:
             np.add(out, row, out)
         np.subtract(src, dst, src)
-        return src if lock_row is None else np.add(src, lock_row, src)
+        return src if lock_s is None else np.add(src, lock_s, src)
 
     return drift
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, length_hint
 from typing import Iterable
 
 import numpy as np
@@ -140,11 +140,15 @@ def _mask(keys: list, ok) -> np.ndarray:
 
 
 def _columns(rows: list, kinds: tuple[type, ...], sizes: tuple[int, ...]) -> tuple:
-    """The mask of rows (i, j, ..., w) that are instances of kinds, whose
-    length is in sizes, whose node ids are integers (not bool) and whose last
-    item is a real number, and the columns i, j and last item of those rows."""
-    good = _mask(list(map(type, rows)), lambda kind: issubclass(kind, kinds))
-    good[good] = _mask(list(map(len, compress(rows, good))), sizes.__contains__)
+    """The mask of rows (i, j, ..., w) that are instances of kinds but not
+    bytes-like, whose length is in sizes, whose node ids are integers (not
+    bool) and whose last item is a real number, and the columns i, j and last
+    item of those rows."""
+    good = _mask(list(map(type, rows)), lambda kind: issubclass(kind, kinds)
+                 and not issubclass(kind, (bytes, bytearray, memoryview)))
+    # length_hint gives -1 where len() raises, as on a 0-d array
+    good[good] = _mask(list(map(length_hint, compress(rows, good), repeat(-1))),
+                       sizes.__contains__)
     kept = list(compress(rows, good))
     i, j, w = (tuple(map(itemgetter(k), kept)) for k in (0, 1, -1))
     good[good] = (_mask(list(map(type, i)), is_integer) & _mask(list(map(type, j)), is_integer)

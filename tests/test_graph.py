@@ -313,9 +313,11 @@ class TestBadInputFailsByName:
         (0, 2, "2"), (0, 2, True), (0, 2, None), (0, 2), (0, 1, 2, 1.0),
         # rows that are not sequences used to fail in len() or on row[-1]
         5, None, {0: 0, 1: 1, 2: 1.0},
+        # bytes-like rows used to load as integer ids, a 0-d array to fail in len()
+        b"\x00\x01\x02", bytearray(b"\x00\x01\x02"), memoryview(b"\x00\x01\x02"), np.array(5),
     ], ids=["id-float", "id-bool", "id-numpy-float", "id-numpy-bool", "weight-string",
             "weight-bool", "weight-none", "two-items", "four-items", "scalar-row", "none-row",
-            "dict-row"])
+            "dict-row", "bytes-row", "bytearray-row", "memoryview-row", "0d-array-row"])
     def test_edge_needs_integer_ids_and_a_real_weight(self, edge):
         with pytest.raises(GraphFormatError, match=re.escape(f"got {edge!r}")):
             Graph(3, [(0, 1, 1.0), edge])

@@ -311,15 +311,15 @@ class TestRowIndependence:
             assert np.array_equal(together[b].view(np.int64), alone[0].view(np.int64))
 
     def test_lattice_rows_equal_compacted_single_row_runs(self):
-        # the case above at side 19: its 3 rows take the lattice layout, each
-        # row alone (361 phases, below the size floor) the compacted one
-        graph = kings_graph(19)
-        rng = np.random.default_rng(19)
+        # the case above at side 13: its 3 rows take the lattice layout, each
+        # row alone (169 phases, below the size floor) the compacted one
+        graph = kings_graph(13)
+        rng = np.random.default_rng(13)
         phases = rng.uniform(0.0, TWO_PI, (3, graph.n))
         gate = CouplingGate(rng.random((3, graph.edge_count)) < 0.7)
         assert picked_layout(phases, graph, gate) == "lattice"
         assert picked_layout(phases[:1], graph, CouplingGate(gate.active[0])) == "compacted"
-        self.test_rows_equal_single_row_runs(19, 20)
+        self.test_rows_equal_single_row_runs(13, 20)
 
 
 def traced_run(kernel, phases, n_steps, graph, gate, shil, params, source, seed):
@@ -569,7 +569,8 @@ def line_offsets(array):
 
 class TestLineAlignment:
     """Every array a window hands to the sine, and its half phases, start on
-    a 64-byte line, and so does each row of a 2-D one."""
+    a 64-byte line, and so does each row of a 2-D one; the sine's arrays are
+    C-contiguous."""
 
     def window_arrays(self, phases, graph, gate, shil):
         """The arrays one noisy 3-step window hands to the sine and to its
@@ -617,6 +618,7 @@ class TestLineAlignment:
         for name, array in seen:
             assert isinstance(array, np.ndarray) and array.dtype == np.float64, name
             assert line_offsets(array) == (0, 0), name
+            assert array.flags.c_contiguous, name
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (8,), (9,), (6348,), (0, 5), (3, 0),
                                        (1, 1), (3, 5), (4, 17), (2, 8), (5, 1961)])

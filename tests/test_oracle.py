@@ -439,6 +439,20 @@ class TestBruteForceMatchesEnumeration:
         assert labels.tolist() == [0] + [1] * 12 + [0] * 11
         assert elapsed < enumeration
 
+    def test_exact_scores_re_sum_one_mask(self, monkeypatch):
+        # unit weights score exactly: of the first block's 1820 top masks only
+        # the first is re-summed, and no later block's top score beats it
+        rows, cut_sums = [], Graph.cut_sums
+
+        def spy(graph, labels=None, weights=None):
+            rows.append(len(labels))
+            return cut_sums(graph, labels, weights)
+
+        monkeypatch.setattr(Graph, "cut_sums", spy)
+        value, labels = brute_force_maxcut(complete_graph(24))
+        assert (value, labels.tolist()) == (144.0, [0] + [1] * 12 + [0] * 11)
+        assert rows == [1]
+
     # real weights: the screen must keep every mask the enumeration may pick
     @pytest.mark.parametrize("seed", range(6))
     def test_weights_spanning_the_float_range(self, seed):
