@@ -56,9 +56,10 @@ with weights of ordinary size. tests/test_kernel_contract.py keeps the
 full-angle loop and pins integrate to it bit for bit.
 
 The drift has two edge layouts, chosen once per window; both give the same
-bits, and in both one half_angle_sine call per step covers the coupling and
-the lock term together, over one contiguous run (_slot_buffers): edge slots
-in rows padded to whole cache lines, then the B * n lock slots (h + h) - phi.
+bits, and in both one sine per step (half_angle_sine's operations, in place)
+covers the coupling and the lock term together, over one contiguous run
+(_slot_buffers): edge slots in rows padded to whole cache lines, then the
+B * n lock slots (h + h) - phi.
 The compacted layout gathers both endpoints of every gated edge into one row
 and scatters the sines with np.bincount, which adds each node's terms in
 edge order from 0.0. The lattice layout groups the gated edges by their
@@ -100,16 +101,33 @@ into a third array of 25 392 doubles took 16.8 us from there against 8.0 us
 from a line, and a - b 16.5 against 8.8 us. Over rows
 with gaps they run slower still, so the sine gets whole runs: a (4, 980)
 multiply of rows 984 apart took 5.5 us, a contiguous (4, 984) 1.4 us. Each
-step writes into these buffers in place, with out given positionally: on the
-desk-planar graphs, about 100 phases, a step is about a dozen NumPy calls,
-and their overhead, not the arithmetic, sets its time. Every operation keeps
-its operands and its order, so the bits are the same.
+step writes into these buffers in place, with out given positionally.
+
+One step loop, _window_kernel, runs every window. It binds its ufuncs once
+per window, and a step is NumPy calls only, with no Python frame of its
+own; the layout, the lock term and the noise are branches inside it. The
+loop's frame is entered once per noise block, or once per step when a
+recorder samples. Per step, a compacted drift is 13 calls: two gathers and
+their subtract, the sine's five, two np.bincount sums and their subtract,
+and half += drift. A lattice drift is 2 K + 10 calls for K offset classes,
+18 on a King's graph: K slice subtracts, the sine's five, the np.add.reduce,
+the target fill, K target adds, src - dst and half += drift. A lock window
+adds 3 calls, (h + h) - phi into the lock slots and lock + torque, and a
+noisy step 1, its row's add. A free window is that add alone. On the
+desk-planar graphs, about 100 phases, the calls' overhead, not the
+arithmetic, sets a step's time: on kings 5 x 4 (100 phases, compacted;
+tools/window_times.py, best of 5, 2-core AVX-512 Xeon VM) a stage-1 anneal
+step took 8.0 us and a lock step 9.4 us, against 8.7 and 10.2 us when the
+drift entered three Python frames per step. Every operation keeps its
+operands and its order, so the bits are the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,21 +193,12 @@ def half_angle_sine(half: np.ndarray, scale) -> np.ndarray:
     """scale * t / (1 + t^2) with t = tan(half), that is scale/2 * sin(2 * half).
 
     With scale 2 this is sin(2 * half) to within 2 ulp. scale broadcasts
-    against half, so it can carry per-edge or per-node weights.
+    against half, so it can carry per-edge or per-node weights. The step
+    loop of integrate runs the same operations in place on its slot run,
+    so each of its sines has these bits.
     """
-    half = np.asarray(half, dtype=np.float64)
-    return _half_angle_sine_into(half, scale, np.empty(half.shape), np.empty(half.shape))
-
-
-def _half_angle_sine_into(half: np.ndarray, scale, t: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """half_angle_sine written into t, which may be half itself, with denom
-    as scratch; returns t."""
-    np.tan(half, t)
-    np.multiply(t, t, denom)
-    np.add(denom, _ONE, denom)
-    np.multiply(t, scale, t)
-    np.divide(t, denom, t)
-    return t
+    t = np.tan(np.asarray(half, dtype=np.float64))
+    return t * scale / (t * t + 1.0)
 
 
 def _line_aligned(shape: tuple, fill=None) -> np.ndarray:
@@ -325,59 +334,60 @@ def random_init(n: int, rng: np.random.Generator) -> PhaseState:
     return PhaseState(rng.uniform(0.0, TWO_PI, size=n), time=0.0)
 
 
-def _slot_buffers(half: np.ndarray, rows: int, width: int, lock):
+def _slot_buffers(size: int, rows: int, width: int, lock):
     """The drift sine's weights, slots and scratch as line-aligned 1-D runs:
     rows rows of width edge slots, each padded to whole lines at weight 0,
-    then the len(half) lock slots, weighted lock_w where lock = (lock_w,
-    select). Returns the edge weights and slots as (rows, width) views of
-    +0.0 and sine(), which writes the lock slots (h + h) - select, runs the
-    sine in place over the whole run and returns the lock slots or None. A
-    slot never written (a row's tail or padding) stays +0.0 at weight 0.
+    then the size lock slots, weighted lock_w where lock = (lock_w, select).
+    Returns the edge weights and slots as (rows, width) views of +0.0, and
+    the sine's fields of a _Drift: the whole slot, weight and scratch runs,
+    then the lock slots and select, or None twice. A slot never written (a
+    row's tail or padding) stays +0.0 at weight 0.
     """
     padded = -(-8 * width // LINE_BYTES) * LINE_BYTES // 8  # width in whole lines
     first = rows * padded  # the lock slots' first line
-    run = first if lock is None else first + len(half)
+    run = first if lock is None else first + size
     weights, s, denom = (_line_aligned((run,), fill) for fill in (0.0, 0.0, None))
     lock_w, select = lock or (0.0, None)
     weights[first:] = lock_w
     lock_s = None if lock is None else s[first:]
-
-    def sine() -> np.ndarray | None:
-        if lock_s is not None:
-            np.add(half, half, lock_s)
-            np.subtract(lock_s, select, lock_s)
-        _half_angle_sine_into(s, weights, s, denom)
-        return lock_s
-
     return (weights[:first].reshape(rows, padded)[:, :width],
-            s[:first].reshape(rows, padded)[:, :width], sine)
+            s[:first].reshape(rows, padded)[:, :width], (s, weights, denom, lock_s, select))
+
+
+class _Drift(NamedTuple):
+    """The arrays of one window's drift, made once by _compacted_coupling or
+    _lattice_coupling and read by the step loop of _window_kernel.
+
+    s, weights and denom are the sine's slot, weight and scratch runs of
+    _slot_buffers; lock_s is the run's lock slots and select the lock
+    references, both None without a lock term. gather is the compacted
+    layout's (ei, ej, edge slots); lattice is the lattice layout's (slice
+    pairs, slot rows, source sums, target sums, target pairs).
+    """
+
+    s: np.ndarray
+    weights: np.ndarray
+    denom: np.ndarray
+    lock_s: np.ndarray | None
+    select: np.ndarray | None
+    gather: tuple | None
+    lattice: tuple | None
 
 
 def _compacted_coupling(half: np.ndarray, ei: np.ndarray, ej: np.ndarray, edge_w: np.ndarray,
-                        lock=None):
+                        lock=None) -> _Drift:
     """The drift of the gated edges (ei, ej) of the flat half phases, gathered
     into one row of _slot_buffers and scattered per node by np.bincount, plus
     the lock term where lock = (lock_w, select) is given; with no gated edge,
     the drift of a lock-only window.
     """
-    size = len(half)
-    (weights,), (edge_s,), sine = _slot_buffers(half, 1, len(ei), lock)
+    (weights,), (edge_s,), sine = _slot_buffers(len(half), 1, len(ei), lock)
     weights[:] = edge_w
-
-    def drift() -> np.ndarray:
-        np.subtract(half[ei], half[ej], edge_s)
-        lock_s = sine()
-        torque = np.bincount(ei, edge_s, size)
-        np.subtract(torque, np.bincount(ej, edge_s, size), torque)
-        # lock + torque has the bits of torque + lock, as IEEE addition
-        # commutes; with no gated edge the torque is an integer 0
-        return torque if lock_s is None else np.add(lock_s, torque, lock_s)
-
-    return drift
+    return _Drift(*sine, gather=(ei, ej, edge_s), lattice=None)
 
 
 def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge_w: np.ndarray,
-                      lock=None):
+                      lock=None) -> _Drift | None:
     """The same drift read as one slice pair per offset d = j - i, or None
     where the compacted layout pays (see LATTICE_MIN_NODES): edge row k of
     _slot_buffers is class d_k, added in np.bincount's order (see the module
@@ -388,27 +398,73 @@ def _lattice_coupling(half: np.ndarray, ei: np.ndarray, offset: np.ndarray, edge
     if size < LATTICE_MIN_NODES or len(classes) * size > LATTICE_MAX_SLOTS_PER_EDGE * len(offset):
         return None
     rows = list(enumerate(classes.tolist()))
-    weights, diff, sine = _slot_buffers(half, len(rows), size, lock)
+    weights, diff, sine = _slot_buffers(size, len(rows), size, lock)
     weights[np.searchsorted(classes, offset), ei] = edge_w
     src, dst = _line_aligned((size,)), _line_aligned((size,))
-    # views made once: slicing them per call cost 8 % of a call at kings 7 x 40
+    # views made once: slicing them per step cost 8 % of a call at kings 7 x 40
     pairs = [(half[:-d], half[d:], diff[k, :-d]) for k, d in rows]
     targets = [(dst[d:], diff[k, :-d]) for k, d in reversed(rows)]
+    return _Drift(*sine, gather=None, lattice=(pairs, diff, src, dst, targets))
 
-    def drift() -> np.ndarray:
-        for left, right, out in pairs:
-            np.subtract(left, right, out)
-        lock_s = sine()
-        # whole rows in increasing d, each sum from +0.0; a row's tail adds
-        # +0.0, which changes no bit of a sum that started at +0.0
-        np.add.reduce(diff, axis=0, initial=0.0, out=src)
-        dst.fill(0.0)
-        for out, row in targets:
-            np.add(out, row, out)
-        np.subtract(src, dst, src)
-        return src if lock_s is None else np.add(src, lock_s, src)
 
-    return drift
+def _window_kernel(half: np.ndarray, drift: _Drift | None, dt: float):
+    """The step loop of one window on the flat half phases: advance(rows,
+    time) takes one Euler-Maruyama step per item of rows, a noise row to add
+    or None, and returns the clock, advanced by dt per step.
+
+    Each step adds the drift, taken from the phases at the start of the
+    step, then its noise row. The ufuncs are bound here, once per window,
+    and a step runs NumPy calls only, with no Python frame: the layout's
+    slot fill, the one sine over the whole run (half_angle_sine's
+    operations, in place), the layout's torque sums, the lock term added
+    into its slots, then half += drift and half += row. The layout is a
+    branch per step. Both layouts add lock + torque, which has the bits of
+    torque + lock, as IEEE addition commutes.
+    """
+    tan, multiply, divide, add, subtract = np.tan, np.multiply, np.divide, np.add, np.subtract
+    bincount, add_rows, one = np.bincount, np.add.reduce, _ONE
+    size = len(half)
+    s, weights, denom, lock_s, select, gather, lattice = drift or (None,) * 7
+    if gather is not None:
+        ei, ej, edge_s = gather
+    if lattice is not None:
+        pairs, diff, src, dst, targets = lattice
+
+    def advance(rows, time: float) -> float:
+        for row in rows:
+            if drift is not None:
+                if gather is not None:
+                    subtract(half[ei], half[ej], edge_s)
+                else:
+                    for left, right, out in pairs:
+                        subtract(left, right, out)
+                if lock_s is not None:
+                    add(half, half, lock_s)
+                    subtract(lock_s, select, lock_s)
+                tan(s, s)
+                multiply(s, s, denom)
+                add(denom, one, denom)
+                multiply(s, weights, s)
+                divide(s, denom, s)
+                if gather is not None:
+                    # with no gated edge the torque is np.bincount's integer zeros
+                    torque = bincount(ei, edge_s, size)
+                    subtract(torque, bincount(ej, edge_s, size), torque)
+                else:
+                    # whole rows in increasing d, each sum from +0.0; a row's
+                    # tail adds +0.0, which changes no bit of such a sum
+                    add_rows(diff, axis=0, initial=0.0, out=src)
+                    dst.fill(0.0)
+                    for out, part in targets:
+                        add(out, part, out)
+                    torque = subtract(src, dst, src)
+                add(half, torque if lock_s is None else add(lock_s, torque, lock_s), half)
+            if row is not None:
+                add(half, row, half)
+            time += dt
+        return time
+
+    return advance
 
 
 def integrate(
@@ -447,9 +503,10 @@ def integrate(
     once per window from the graph and gate (LATTICE_MIN_NODES) for every
     window with a drift, lock-only ones included, add each node's torques
     in np.bincount's order for one row; the compacted one lists the gated
-    edges in (iteration, edge) order as flat indices. Each layout's closure
-    returns the whole drift, lock term included, from one sine call, so a
-    step is: record, add the drift, add the noise row, advance the clock.
+    edges in (iteration, edge) order as flat indices. One step loop
+    (_window_kernel) serves both layouts and takes the whole drift, lock
+    term included, from one sine call. It runs a noise block per call, or
+    one step per call with a recorder, which samples before each step.
     Edge, lock and noise scales are folded in once per window or noise
     block, the same products as per step, and c * n normals from a
     generator equal c draws of n, so the block size changes no draw.
@@ -494,8 +551,10 @@ def integrate(
         offset = (graph.ej - graph.ei)[edge]
         drift = (_lattice_coupling(half, ei, offset, edge_w, lock)
                  or _compacted_coupling(half, ei, ei + offset, edge_w, lock))
+    advance = _window_kernel(half, drift, params.dt)
     for start in range(0, n_steps, block):
         c = min(block, n_steps - start)
+        rows = repeat(None, c)
         if noise_buf is not None:
             for b in range(batch):
                 if xi is None:
@@ -504,15 +563,13 @@ def integrate(
                     drawn = xi[b, start:start + c]
                 np.multiply(drawn, half_scale, dtype=np.float64,  # whatever xi's dtype
                             out=noise_buf[:c, b * n:(b + 1) * n])
-        for j in range(c):
-            if recorder is not None:
+            rows = noise_buf[:c]
+        if recorder is None:
+            time = advance(rows, time)
+        else:  # the same step loop, one row per call
+            for j, row in enumerate(rows):
                 recorder.record(PhaseState(half[:n] + half[:n], time), start + j)
-            # both drift terms are taken from the phases at the start of the step
-            if drift is not None:
-                np.add(half, drift(), half)
-            if noise_buf is not None:
-                np.add(half, noise_buf[j], half)
-            time += params.dt
+                time = advance((row,), time)
     phases = wrap_phases((half + half).reshape(batch, n))
     if recorder is not None:
         recorder.record(PhaseState(phases[0], time), n_steps)
@@ -524,7 +581,7 @@ def _single_row(state, n_steps, graph, gate, shil, params, rng, xi=None, recorde
     stability check; rng is its generator and xi one step's (n,) noise."""
     params.check_stability(graph)
     if xi is not None:
-        xi = np.asarray(xi)[None, None]
+        xi = shaped("xi", xi, (graph.n,))[None, None]
     phases, t = integrate(state.phases, n_steps, graph, gate, shil, params,
                           None if rng is None else [rng], xi, recorder, state.time)
     return PhaseState(phases[0], time=t)

@@ -299,6 +299,10 @@ class TestIntegrateChecks:
         with pytest.raises(ValueError, match=re.escape(
                 f"xi has shape (3, 4, {K3.n}), need (3, 5, {K3.n})")):
             self.run(xi=np.zeros((3, 4, K3.n)))
+        # step names its own (n,) noise vector, not integrate's (1, 1, n)
+        gate, shil = free_config(K3)
+        with pytest.raises(ValueError, match=re.escape(f"xi has shape (3,), need ({K3.n},)")):
+            step(PhaseState(np.zeros(K3.n)), K3, gate, shil, DynamicsParams(), xi=np.zeros(3))
 
     def test_xi_may_be_a_list(self):
         xi = np.random.default_rng(3).standard_normal((3, 5, K3.n))

@@ -322,20 +322,24 @@ class TestRowIndependence:
         self.test_rows_equal_single_row_runs(13, 20)
 
 
-def traced_run(kernel, phases, n_steps, graph, gate, shil, params, source, seed):
+def traced_run(kernel, phases, n_steps, graph, gate, shil, params, source, seed,
+               recorded=True):
     """A window run by kernel: its phases and recorder samples as int64 bits,
     its clock and sample times, and the generators' states afterwards. Noise
-    comes from one generator per row (source "rngs") or from xi ("xi")."""
+    comes from one generator per row (source "rngs"), from xi ("xi") or from
+    neither ("noiseless", for params with noise 0). With recorded False no
+    recorder is attached, and the samples and times are empty."""
     rngs = xi = None
     if source == "rngs":
         rngs = [np.random.default_rng([seed, b]) for b in range(len(phases))]
-    else:
+    elif source == "xi":
         xi = np.random.default_rng(seed).standard_normal((len(phases), n_steps, graph.n))
-    recorder = TrajectoryRecorder(sample_every=4)
+    recorder = TrajectoryRecorder(sample_every=4) if recorded else None
     got, t = kernel(phases, n_steps, graph, gate, shil, params, rngs=rngs, xi=xi,
                     recorder=recorder, time=0.25)
-    return (got.view(np.int64), t, [sample.view(np.int64) for sample in recorder.samples],
-            recorder.times, [rng.bit_generator.state for rng in rngs or []])
+    samples, times = (recorder.samples, recorder.times) if recorded else ([], [])
+    return (got.view(np.int64), t, [sample.view(np.int64) for sample in samples], times,
+            [rng.bit_generator.state for rng in rngs or []])
 
 
 def assert_same_run(got, want):
@@ -357,28 +361,40 @@ class TestHalfPhases:
     """
 
     @pytest.mark.parametrize("block_steps", [None, 5], ids=["one-block", "blocks-of-5"])
-    @pytest.mark.parametrize("source", ["rngs", "xi"])
-    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("source", ["rngs", "xi", "noiseless"])
+    @pytest.mark.parametrize("side,batch", [(4, 1), (4, 3), (14, 1), (7, 4)],
+                             ids=["1", "3", "14x1", "7x4"])
     @pytest.mark.parametrize("kind", ["free", "anneal", "lock"])
-    def test_schedule_windows(self, kind, batch, source, block_steps, monkeypatch):
-        # the windows of a stage-2 solve, on a King's graph with random weights
-        rng = np.random.default_rng(batch)
-        kings = kings_graph(4)
+    def test_schedule_windows(self, kind, side, batch, source, block_steps, monkeypatch):
+        """The windows of a solve, on a King's graph with random weights: at
+        side 4 those of stage 2 (compacted layout), at 196 phases those of
+        stage 1 (lattice layout). Without a recorder each call of the step
+        loop takes a whole noise block, with one a single step; both give
+        the full-angle loop's phases, clock and generator states."""
+        rng = np.random.default_rng(batch if side == 4 else side * batch)
+        kings = kings_graph(side)
         graph = Graph(kings.n, [(i, j, rng.uniform(0.5, 1.5)) for i, j, _ in kings.edges])
         phases = rng.uniform(0.0, TWO_PI, (batch, graph.n))
-        groups = rng.integers(0, 2, (batch, graph.n))
+        layout, groups = "compacted", rng.integers(0, 2, (batch, graph.n))
+        if side != 4:
+            layout, groups = "lattice", np.zeros((batch, graph.n), dtype=np.int64)
         gate, shil = CouplingGate.all_off(graph), ShilConfig.off(graph.n)
-        if kind != "free":
-            gate = scheduler.gate_couplings(graph, groups)
         if kind == "lock":
             shil = scheduler.assign_shil(groups, 2)
-        params = DynamicsParams(noise=0.1 if kind == "free" else 0.05)
+        if kind != "free":
+            gate = scheduler.gate_couplings(graph, groups)
+            assert picked_layout(phases, graph, gate, shil) == layout
+        noise = 0.0 if source == "noiseless" else 0.1 if kind == "free" else 0.05
+        params = DynamicsParams(noise=noise)
         if block_steps is not None:
             # 37 steps are not a multiple of either kernel's block
             monkeypatch.setattr(dynamics, "NOISE_BLOCK_BYTES",
                                 8 * (batch + 1) * graph.n * block_steps)
         args = (phases, 37, graph, gate, shil, params, source, 7)
-        assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
+        step_by_step = traced_run(integrate, *args)
+        assert_same_run(step_by_step, traced_run(full_angle_integrate, *args))
+        whole_blocks = traced_run(integrate, *args, recorded=False)
+        assert_same_run(whole_blocks, step_by_step[:2] + ([], []) + step_by_step[4:])
 
     @settings(max_examples=100, deadline=None)
     @given(windows(), st.sampled_from([0.0, 2.5]), st.sampled_from([0.0, 0.5]),
@@ -567,22 +583,61 @@ def line_offsets(array):
             array.strides[0] % dynamics.LINE_BYTES if array.ndim == 2 else 0)
 
 
+class UfuncSpy:
+    """np.<name> that logs (name, args) of each call into calls; its other
+    attributes, such as add.reduce, are the ufunc's own."""
+
+    def __init__(self, name, calls):
+        self.name, self.ufunc, self.calls = name, getattr(np, name), calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append((self.name, args))
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(self.ufunc, attr)
+
+
+def ufunc_calls(run):
+    """run()'s calls of np.tan, np.multiply, np.add and np.divide, as (name,
+    args) pairs: the step loop binds its ufuncs when its window starts, so
+    run() must start the window."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("tan", "multiply", "add", "divide"):
+            patch.setattr(np, name, UfuncSpy(name, calls))
+        run()
+    return calls
+
+
+def sines(calls):
+    """(half angles, scale, t, denom) of each sine in calls: a tan call and
+    the four calls after it, checked to be half_angle_sine's operations in
+    place, t = tan(angles), denom = t * t + 1 and t = t * scale / denom."""
+    found = []
+    for k, (name, _) in enumerate(calls):
+        if name != "tan":
+            continue
+        assert [name for name, _ in calls[k:k + 5]] == ["tan", "multiply", "add", "multiply",
+                                                        "divide"]
+        (angles, t), (a, b, denom), (c, _, d), (e, scale, f), (g, h, i) = (
+            args for _, args in calls[k:k + 5])
+        assert all(x is t for x in (a, b, e, f, g, i)) and c is d is h is denom
+        found.append((angles, scale, t, denom))
+    return found
+
+
 class TestLineAlignment:
     """Every array a window hands to the sine, and its half phases, start on
     a 64-byte line, and so does each row of a 2-D one; the sine's arrays are
     C-contiguous."""
 
     def window_arrays(self, phases, graph, gate, shil):
-        """The arrays one noisy 3-step window hands to the sine and to its
-        coupling layout, as (name, array) pairs."""
+        """The arrays one noisy 3-step window hands to its coupling layout
+        and to the sine, as (name, array) pairs."""
         seen = []
-        sine = dynamics._half_angle_sine_into
         layouts = {name: getattr(dynamics, name)
                    for name in ("_lattice_coupling", "_compacted_coupling")}
-
-        def sine_spy(half, scale, t, denom):
-            seen.extend([("half angles", half), ("scale", scale), ("t", t), ("denom", denom)])
-            return sine(half, scale, t, denom)
 
         def layout_spy(name):
             def spy(half, *args):
@@ -591,11 +646,13 @@ class TestLineAlignment:
             return spy
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_half_angle_sine_into", sine_spy)
             for name in layouts:
                 patch.setattr(dynamics, name, layout_spy(name))
             rngs = [np.random.default_rng(b) for b in range(len(phases))]
-            integrate(phases, 3, graph, gate, shil, DynamicsParams(), rngs)
+            calls = ufunc_calls(lambda: integrate(phases, 3, graph, gate, shil,
+                                                  DynamicsParams(), rngs))
+        for angles, scale, t, denom in sines(calls):
+            seen.extend([("half angles", angles), ("scale", scale), ("t", t), ("denom", denom)])
         return seen
 
     @pytest.mark.parametrize("side,batch", [(46, 3), (7, 40)])
@@ -647,14 +704,18 @@ class TestOneSinePerStep:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("side", [4, 19])
     def test_lock_only_window(self, side, batch, source):
-        # no gated edge: the drift is the compacted closure's with zero edges
+        # no gated edge: at side 4 (16 or 48 phases) the drift is the compacted
+        # layout's with zero edges, at side 19 (361 or 1083 phases, above the
+        # size floor) the lattice layout's with no offset class
         graph = kings_graph(side)
         rng = np.random.default_rng(side * batch)
         phases = rng.uniform(0.0, TWO_PI, (batch, graph.n))
         shil = ShilConfig(rng.random((batch, graph.n)) < 0.7,
                           rng.choice([0.0, math.pi / 2, math.pi / 4], (batch, graph.n)))
         assert shil.enabled.any() and not shil.enabled.all()
-        args = (phases, 37, graph, CouplingGate.all_off(graph), shil, DynamicsParams(), source, 5)
+        gate = CouplingGate.all_off(graph)
+        assert picked_layout(phases, graph, gate, shil) == ("compacted" if side == 4 else "lattice")
+        args = (phases, 37, graph, gate, shil, DynamicsParams(), source, 5)
         assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
 
     @pytest.mark.parametrize("source", ["rngs", "xi"])
@@ -697,7 +758,7 @@ class TestOneSinePerStep:
         assert_same_run(traced_run(integrate, *args), traced_run(full_angle_integrate, *args))
 
     @pytest.mark.parametrize("edges", [0, 1, 7, 8, 9, 20])
-    def test_compacted_lock_slots_start_on_a_line(self, edges, monkeypatch):
+    def test_compacted_lock_slots_start_on_a_line(self, edges):
         rng = np.random.default_rng(edges)
         size = 11
         half = dynamics._line_aligned((size,), rng.uniform(0.0, math.pi, size))
@@ -705,21 +766,20 @@ class TestOneSinePerStep:
         edge_w = rng.uniform(-0.01, 0.01, edges)
         lock_w = np.where(rng.random(size) < 0.7, -0.025, 0.0)
         select = dynamics._line_aligned((size,), rng.choice([0.0, math.pi / 2], size))
-        want = (dynamics._compacted_coupling(half, ei, ej, edge_w)()
+        edge_s = half_angle_sine(half[ei] - half[ej], edge_w)
+        want = ((np.bincount(ei, edge_s, size) - np.bincount(ej, edge_s, size))
                 + half_angle_sine((half + half) - select, lock_w))
-        seen, sine = [], dynamics._half_angle_sine_into
-
-        def spy(angles, scale, t, denom):
-            seen.append((angles, scale, t, denom))
-            return sine(angles, scale, t, denom)
-
-        monkeypatch.setattr(dynamics, "_half_angle_sine_into", spy)
-        got = dynamics._compacted_coupling(half, ei, ej, edge_w, (lock_w, select))()
-        assert len(seen) == 1
-        angles, scale, t, denom = seen[0]
+        start = half.copy()
+        drift = dynamics._compacted_coupling(half, ei, ej, edge_w, (lock_w, select))
+        calls = ufunc_calls(lambda: dynamics._window_kernel(half, drift, 0.01)([None], 0.0))
+        (angles, scale, t, denom), = sines(calls)
         assert angles is t and len(t) == -(-edges // 8) * 8 + size
         # the edge slots, then the lock slots, which the drift is written into
-        for array in (t, scale, denom, t[len(t) - size:], scale[len(t) - size:], got):
+        lock = t[len(t) - size:]
+        for array in (t, scale, denom, lock, scale[len(t) - size:]):
             assert line_offsets(array) == (0, 0)
-        assert got.ctypes.data == t[len(t) - size:].ctypes.data
+        name, (into, got, out) = calls[-1]  # the step's half += drift
+        assert name == "add" and into is half and out is half
+        assert got.ctypes.data == lock.ctypes.data and got.shape == lock.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(half.view(np.int64), (start + want).view(np.int64))
